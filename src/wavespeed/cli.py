@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -29,8 +28,7 @@ from .errors import DomainError, NumericalError, WavespeedError
 from .front_sim import BirthFunction, SimConfig, run as run_sim
 from .kernels import GaussianKernel, Kernel, kernel_from_spec
 from .solver import (DEFAULT_CONFIG, cardano_w0, continue_ode, min_psi,
-                     solve_critical, solve_ivp_rho0, sweep_direct,
-                     thread_count)
+                     solve_critical, solve_ivp_rho0, sweep_direct)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f", "#bcbd22")
@@ -230,52 +228,49 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _curve_rows(p: float, kernel: Kernel, grid: Sequence[float], method: str):
-    """(rows, n_failures) for the curve CSV; one row per grid point."""
-    per_h: list[Optional[tuple[float, float]]] = []  # (c_star, residual)
-    failures = 0
+def _curve_points(p: float, kernel: Kernel, grid: Sequence[float],
+                  method: str) -> list[Optional[tuple[float, float]]]:
+    """(c_star, residual) per grid point; None where a direct solve failed."""
     if method == "direct":
-        def one(h: float):
+        points: list[Optional[tuple[float, float]]] = []
+        for h in grid:
             try:
                 cp = solve_critical(ModelParams(p=p, h=h), kernel)
-                return cp.c_star, cp.res_psi
+                points.append((cp.c_star, cp.res_psi))
             except NumericalError:
-                return None
+                points.append(None)
+        return points
+    # ode: seed at the left end, RK4 across, subsample back to grid
+    seed = solve_critical(ModelParams(p=p, h=grid[0]), kernel)
+    if len(grid) == 1:
+        return [(seed.c_star, seed.res_psi)]
+    sub = 4
+    curve = continue_ode(p, kernel, grid[0], seed.eps0, grid[-1],
+                         steps=sub * (len(grid) - 1))
+    return [(curve.c_star[i * sub], curve.res_psi[i * sub])
+            for i in range(len(grid))]
 
-        workers = thread_count()
-        if workers > 1 and len(grid) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_h = list(pool.map(one, grid))
-        else:
-            per_h = [one(h) for h in grid]
-        failures = sum(1 for item in per_h if item is None)
-    else:  # ode: seed at the left end, RK4 across, subsample back to grid
-        seed = solve_critical(ModelParams(p=p, h=grid[0]), kernel)
-        if len(grid) == 1:
-            per_h = [(seed.c_star, seed.res_psi)]
-        else:
-            sub = 4
-            curve = continue_ode(p, kernel, grid[0], seed.eps0, grid[-1],
-                                 steps=sub * (len(grid) - 1))
-            per_h = [(curve.c_star[i * sub], curve.res_psi[i * sub])
-                     for i in range(len(grid))]
+
+def _write_curve(p: float, kernel: Kernel, grid: Sequence[float], points,
+                 out: str, svg: Optional[str]) -> None:
+    """Curve CSV with the bounds at every grid point, plus an optional chart.
+
+    A point given as None (failed solve) keeps its bounds and leaves
+    c_star and residual empty in the CSV and as gaps in the chart.
+    """
     rows = []
-    for h, item in zip(grid, per_h):
+    for h, point in zip(grid, points):
         b = bounds_mod.speed_bounds(ModelParams(p=p, h=h), kernel)
-        c_star, residual = item if item is not None else (None, None)
+        c_star, residual = point if point is not None else (None, None)
         rows.append((h, c_star, b.lower_add, b.lower_log, b.upper_k1,
                      b.upper_k2, b.lower, b.upper, residual))
-    return rows, failures
-
-
-def _curve_svg(path: str, title: str, rows) -> None:
-    hs = [r[0] for r in rows]
-    names = _CURVE_HEADER[1:]
-    series = []
-    for col, name in enumerate(names, start=1):
-        ys = [r[col] if r[col] is not None else math.nan for r in rows]
-        series.append((name, hs, ys))
-    _render_svg(path, title, "h", series)
+    _write_csv(out, _CURVE_HEADER, rows)
+    if svg:
+        series = [(name, grid, [math.nan if r[col] is None else r[col]
+                                for r in rows])
+                  for col, name in enumerate(_CURVE_HEADER[1:], start=1)]
+        _render_svg(svg, f"minimal speed and bounds vs delay "
+                         f"(p={p:g}, {kernel.spec_string()})", "h", series)
 
 
 def cmd_curve(args) -> int:
@@ -288,13 +283,12 @@ def cmd_curve(args) -> int:
     else:
         grid = [args.h_min + (args.h_max - args.h_min) * i / (args.samples - 1)
                 for i in range(args.samples)]
-    rows, failures = _curve_rows(args.p, args.kernel, grid, args.method)
-    _write_csv(args.out, _CURVE_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {args.out} (method {args.method})")
+    points = _curve_points(args.p, args.kernel, grid, args.method)
+    _write_curve(args.p, args.kernel, grid, points, args.out, args.svg)
+    print(f"wrote {len(grid)} rows to {args.out} (method {args.method})")
     if args.svg:
-        _curve_svg(args.svg, f"minimal speed and bounds vs delay "
-                             f"(p={args.p:g}, {args.kernel.spec_string()})", rows)
         print(f"wrote chart to {args.svg}")
+    failures = points.count(None)
     if failures:
         print(f"{failures} samples failed to converge (empty fields)",
               file=sys.stderr)
@@ -447,17 +441,11 @@ def cmd_figure2(args) -> int:
         raise NumericalError(
             f"continuation and direct solves disagree by {gap:.3g} "
             "(relative on c*); refusing to write an inconsistent dataset")
-    rows = []
-    for i, h in enumerate(grid):
-        b = bounds_mod.speed_bounds(ModelParams(p=p, h=h), kernel)
-        rows.append((h, direct.c_star[i], b.lower_add, b.lower_log, b.upper_k1,
-                     b.upper_k2, b.lower, b.upper, direct.res_psi[i]))
-    _write_csv(args.out, _CURVE_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_curve(p, kernel, grid, list(zip(direct.c_star, direct.res_psi)),
+                 args.out, args.svg)
+    print(f"wrote {len(grid)} rows to {args.out}")
     print(f"method cross-check: max relative gap {gap:.3g}")
     if args.svg:
-        _curve_svg(args.svg, "minimal speed and bounds vs delay "
-                             "(p=2, gaussian:alpha=1)", rows)
         print(f"wrote chart to {args.svg}")
     return 0
 

@@ -130,7 +130,6 @@ class SimState:
     n_delay: int                   # h / dt (0 means no delay)
     t: float = 0.0
     clamp_events: int = 0
-    max_u: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     pad = int(offsets[-1])
     history = deque(u0.copy() for _ in range(n_delay))
     return SimState(u=u0, history=history, weights=weights, pad=pad,
-                    dt=dt, n_delay=n_delay, max_u=float(u0.max()))
+                    dt=dt, n_delay=n_delay)
 
 
 def step(state: SimState, cfg: SimConfig, kernel: Kernel,
@@ -200,7 +199,6 @@ def step(state: SimState, cfg: SimConfig, kernel: Kernel,
         state.clamp_events += negatives
         np.maximum(u_new, 0.0, out=u_new)
     top = float(u_new.max())
-    state.max_u = max(state.max_u, top)
     if top > 10.0 * g.equilibrium:
         raise UnstableSimulationError(
             f"field reached {top:.3g} (> 10x equilibrium) at t={state.t:.3g}; "

@@ -19,7 +19,7 @@ merely approximate.
 Heavy-tailed kernels (Laplace, Cauchy, ...) have no finite M and are
 rejected at construction by not existing here.  Kernels with atoms are
 supported even though much of the surrounding theory is usually stated
-for densities; their `density` method reports point masses and says so.
+for densities; they have no `density` and discretize their atoms directly.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class Kernel(ABC):
         """Round-trippable CLI spec, e.g. ``gaussian:alpha=1``."""
 
     def density(self, s: float) -> float:
-        """Pointwise density K(s).  Variants made of atoms either report
-        the atom masses (documented per class) or refuse."""
+        """Pointwise density K(s).  Variants made of atoms have none and
+        refuse."""
         raise UnsupportedVariantError(
             f"{type(self).__name__} has no pointwise density; "
             "use mgf-level operations"
@@ -213,7 +213,7 @@ class TwoPointKernel(Kernel):
     """Half masses at s = -a and s = +a; M(lam) = cosh(a*lam).
 
     a = 0 collapses to the point mass at the origin.  There is no
-    Lebesgue density; `density` reports the atom mass (0.5 at +-a).
+    Lebesgue density, so `density` raises UnsupportedVariantError.
     """
 
     def __init__(self, a: float):
@@ -238,12 +238,6 @@ class TwoPointKernel(Kernel):
 
     def second_moment(self) -> float:
         return self.a * self.a
-
-    def density(self, s: float) -> float:
-        # atom masses, not a Lebesgue density
-        if self.a == 0.0:
-            return 1.0 if s == 0.0 else 0.0
-        return 0.5 if abs(s) == self.a else 0.0
 
     def support_radius(self) -> float:
         return self.a
@@ -385,14 +379,6 @@ class TabulatedKernel(Kernel):
 
     def second_moment(self) -> float:
         return float(np.dot(self._m, self._s * self._s))
-
-    def density(self, s: float) -> float:
-        # atom-mass lookup (exact position match), not a Lebesgue density
-        hits = np.nonzero(self._s == abs(s))[0]
-        if hits.size == 0:
-            return 0.0
-        m = float(self._m[hits].sum())
-        return m if s == 0.0 else 0.5 * m
 
     def support_radius(self) -> float:
         return float(self._s[-1])

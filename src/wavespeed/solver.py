@@ -23,15 +23,12 @@ On top of the direct solver:
   * continue_ode integrates eps0'(h) = 2*eps0*G(w0) / (1 + h*G(w0))
     with classical fixed-step RK4, retrieving w0 per stage via the
     cubic (Gaussian) or via min_psi (any kernel);
-  * sweep_direct runs independent direct solves over an h-grid,
-    optionally in parallel (WAVESPEED_THREADS caps the pool).
+  * sweep_direct runs independent direct solves over an h-grid.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -472,36 +469,16 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
     )
 
 
-def thread_count() -> int:
-    """Worker cap for parallel sweeps, from WAVESPEED_THREADS (default 1)."""
-    raw = os.environ.get("WAVESPEED_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def sweep_direct(p: float, kernel: Kernel, h_values: Sequence[float],
                  cfg: SolverConfig = DEFAULT_CONFIG) -> SpeedCurve:
     """Independent direct solves over an h-grid, ordered by h.
 
-    Parallel when WAVESPEED_THREADS > 1 (results are collected in grid
-    order either way, so output is deterministic).
+    The grid is sorted and deduplicated; a point that fails raises.
     """
     hs = sorted(set(float(h) for h in h_values))
     if not hs:
         raise DomainError("sweep_direct needs at least one h value")
-
-    def one(h: float) -> CriticalPoint:
-        return solve_critical(ModelParams(p=p, h=h), kernel, cfg)
-
-    n_threads = thread_count()
-    if n_threads > 1 and len(hs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            cps = list(pool.map(one, hs))
-    else:
-        cps = [one(h) for h in hs]
+    cps = [solve_critical(ModelParams(p=p, h=h), kernel, cfg) for h in hs]
     return SpeedCurve(
         method="direct",
         h=tuple(hs),

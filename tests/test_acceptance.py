@@ -225,8 +225,7 @@ def test_09_front_simulation_speeds(capsys):
            f"(limit 60 s each)")
 
 
-def test_10_reference_dataset_determinism(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("WAVESPEED_THREADS", raising=False)
+def test_10_reference_dataset_determinism(capsys, tmp_path):
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
     assert main(["figure2", "--out", str(first)]) == 0

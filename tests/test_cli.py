@@ -110,6 +110,23 @@ class TestCurveCommand:
         assert "polyline" in text
         assert text.rstrip().endswith("</svg>")
 
+    def test_failed_points_leave_empty_fields(self, tmp_path, capsys):
+        # at h = 2 and h = 3 the solve overflows the cosh moment; those
+        # rows keep their bounds, lose c_star and residual, and exit 3
+        out = tmp_path / "fail.csv"
+        assert main(["curve", "--p", "2", "--kernel", "twopoint:a=50",
+                     "--h-min", "0", "--h-max", "4", "--samples", "5",
+                     "--out", str(out)]) == 3
+        assert "2 samples failed to converge" in capsys.readouterr().err
+        rows = [line.split(",")
+                for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 5
+        for cells in rows:
+            failed = cells[0] in ("2", "3")
+            assert (cells[1] == "") == failed
+            assert (cells[8] == "") == failed
+            assert all(cells[2:8])
+
 
 class TestCurvesCommand:
     def test_tangency_at_critical_eps(self, tmp_path, capsys):

@@ -21,14 +21,23 @@ from wavespeed.kernels import (
 LAMBDAS = (0.0, 0.1, 0.37, 0.8, 1.3, 2.0)
 
 
-def quad_mgf(kernel, lam: float, half_width: float, n: int = 400) -> float:
-    """Independent oracle: integrate density * exp(lam * s) directly."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * half_width * (x + 1.0)  # [0, half_width]
-    dens = np.array([kernel.density(v) for v in s])
-    # even density: fold the two half lines into cosh
-    vals = dens * np.cosh(lam * s)
-    return float(2.0 * 0.5 * half_width * np.dot(w, vals))
+def quad_mgf(kernel, lam: float, half_width: float, panels: int = 8,
+             order: int = 50) -> float:
+    """Independent oracle: integrate density * exp(lam * s) directly.
+
+    Composite Gauss-Legendre panels on [0, half_width]: a single
+    high-order rule carries node/weight rounding of about 1e-13, which
+    is as large as the tolerances the tests check against.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * half_width / panels
+    total = 0.0
+    for i in range(panels):
+        s = (2 * i + 1) * half + half * x
+        dens = np.array([kernel.density(v) for v in s])
+        # even density: fold the two half lines into cosh
+        total += 2.0 * half * float(np.dot(w, dens * np.cosh(lam * s)))
+    return total
 
 
 class TestGaussian:
