@@ -10,9 +10,13 @@ monotone 1-D problems instead of a 2-D Newton iteration:
 
   * outer: eps -> min_z psi(z, eps) is strictly increasing (psi_eps > 0
     for z > 0), and the explicit bound window [1/upper^2, 1/lower^2]
-    from the bounds module brackets its root, so solve_critical plain
-    bisects.  The window is inflated by one part in 1e9 because for the
-    point-mass kernel at h in {0, 1} the window degenerates to a point.
+    from the bounds module brackets its root, so solve_critical bisects
+    on its sign.  Each midpoint's sign is certified from one psi_eval at
+    a warm z (the enclosure psi - psi_z^2/(4*eps) <= min psi <= psi),
+    with a cold min_psi only when that cannot decide, so the decisions
+    and the result equal those of a cold min_psi at every midpoint.  The
+    window is inflated by one part in 1e9 because for the point-mass
+    kernel at h in {0, 1} the window degenerates to a point.
 
 On top of the direct solver:
 
@@ -126,7 +130,9 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel,
     probing counts as psi_z = +inf: overflow means the kernel term has
     entered its growth regime, where its z-derivative factor is already
     positive (M'/M is increasing), so the sign information is correct
-    even though the value is unrepresentable.
+    even though the value is unrepresentable.  A non-finite psi_z or
+    psi_zz in the Newton phase (the kernel term of psi_z overflowing to
+    inf - inf) counts the same way.
     """
     lo = 0.0
     hi = 1.0
@@ -150,7 +156,10 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel,
     for _ in range(cfg.max_inner):
         try:
             ev = psi_eval(x, eps, params, kernel)
+            overflow = not (math.isfinite(ev.dz) and math.isfinite(ev.dzz))
         except MgfOverflowError:
+            overflow = True
+        if overflow:
             hi = x
             x = 0.5 * (lo + hi)
             dx_old = dx = hi - lo
@@ -184,6 +193,44 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel,
         f"inner minimization stalled above |psi_z| <= {cfg.inner_tol:g}")
 
 
+# a midpoint's sign is certified only when psi clears this many ulps of
+# its largest term, and after this many warm Newton evaluations the cold
+# min_psi decides instead
+_SIGN_ULPS = 64
+_SIGN_TRIES = 3
+
+
+def _min_psi_positive(eps: float, z: float, params: ModelParams,
+                      kernel: Kernel, cfg: SolverConfig) -> tuple[bool, float]:
+    """Decide min_psi(eps)[1] > 0.0 from a warm z; return it and the next z.
+
+    psi_zz >= 2*eps, so one evaluation at z > 0 encloses the minimum:
+    psi - psi_z^2/(4*eps) <= min_z psi <= psi.  A sign is taken only when
+    the enclosure clears tau, a margin for the rounding of psi at z and
+    at the minimizer (within |psi_z|/(2*eps) of z), so it is the sign of
+    the value a cold min_psi would return.  Each evaluation moves z one
+    Newton step towards the minimizer, which also warms the next midpoint.
+    """
+    for _ in range(_SIGN_TRIES):
+        try:
+            ev = psi_eval(z, eps, params, kernel)
+        except MgfOverflowError:
+            break
+        reach = abs(ev.dz) / (2.0 * eps)
+        tau = (_SIGN_ULPS * 2.220446049250313e-16
+               * (1.0 + z + eps * z * z + abs(ev.value) + reach))
+        step = z - ev.dz / ev.dzz
+        z = step if math.isfinite(step) and step > 0.0 else 0.5 * z
+        # a cold min_psi stops where |psi_z| <= inner_tol, which leaves
+        # its value up to inner_tol^2/(4*eps) above the minimum
+        if ev.value < -tau - cfg.inner_tol * cfg.inner_tol / (4.0 * eps):
+            return False, z
+        if ev.value - ev.dz * ev.dz / (4.0 * eps) > tau:
+            return True, z
+    z, f = min_psi(eps, params, kernel, cfg)
+    return f > 0.0, z
+
+
 def solve_critical(params: ModelParams, kernel: Kernel,
                    cfg: SolverConfig = DEFAULT_CONFIG) -> CriticalPoint:
     """Direct double-root solve by bisection on eps -> psi_min(eps).
@@ -191,8 +238,12 @@ def solve_critical(params: ModelParams, kernel: Kernel,
     The initial eps bracket comes from the explicit bound window; the
     window is guaranteed (strictly for spread-out kernels, degenerately
     for the point mass) to contain 1/c*^2, and psi_min is strictly
-    increasing in eps, so bisection cannot fail.  The returned point
-    carries residuals and the positivity certificate (psi_zz, psi_eps).
+    increasing in eps, so bisection cannot fail.  The bracket ends and
+    eps0 get a cold min_psi; a midpoint's sign comes from a warm Newton
+    iterate z whenever the enclosure of psi_min at z clears rounding,
+    and from a cold min_psi otherwise, so every decision equals the cold
+    one (see _min_psi_positive).  The returned point carries residuals
+    and the positivity certificate (psi_zz, psi_eps).
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
@@ -208,12 +259,12 @@ def solve_critical(params: ModelParams, kernel: Kernel,
             break
         eps_lo *= 0.5
         f_lo = min_psi(eps_lo, params, kernel, cfg)[1]
-    f_hi = min_psi(eps_hi, params, kernel, cfg)[1]
+    z, f_hi = min_psi(eps_hi, params, kernel, cfg)
     for _ in range(8):
         if f_hi > 0.0:
             break
         eps_hi *= 2.0
-        f_hi = min_psi(eps_hi, params, kernel, cfg)[1]
+        z, f_hi = min_psi(eps_hi, params, kernel, cfg)
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(
             f"psi_min has no sign change over eps in [{eps_lo:g}, {eps_hi:g}]")
@@ -223,7 +274,8 @@ def solve_critical(params: ModelParams, kernel: Kernel,
         if hi - lo <= cfg.eps_rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if min_psi(mid, params, kernel, cfg)[1] > 0.0:
+        above, z = _min_psi_positive(mid, z, params, kernel, cfg)
+        if above:
             hi = mid
         else:
             lo = mid

@@ -1,17 +1,22 @@
 """Critical-point solver, seed equation, cubic fast path, continuation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import IVP_REFERENCE, REFERENCE, rel
+from wavespeed import solver
 from wavespeed.bounds import bound_window
-from wavespeed.charfun import ModelParams, psi_eval
+from wavespeed.charfun import ModelParams, critical_point, psi_eval
 from wavespeed.errors import (
     CubicRootError,
     DegenerateCubicError,
     DomainError,
+    MgfOverflowError,
 )
 from wavespeed.kernels import (
     DiracKernel,
@@ -21,6 +26,7 @@ from wavespeed.kernels import (
     tabulated_twin,
 )
 from wavespeed.solver import (
+    DEFAULT_CONFIG,
     SolverConfig,
     SpeedCurve,
     cardano_w0,
@@ -39,6 +45,64 @@ def kernel_for(tag):
             "twopoint": TwoPointKernel(1.0)}[tag.split("_")[0]]
 
 
+def assert_certified(cp, params, kernel):
+    assert cp.res_psi <= 1e-9
+    assert cp.res_psi_z <= 1e-9
+    assert cp.psi_zz > 0.0
+    assert cp.psi_eps > 0.0
+    lower, upper = bound_window(params, kernel)
+    assert lower * (1.0 - 1e-12) <= cp.c_star <= upper * (1.0 + 1e-12)
+
+
+def _bisect_reference(params, kernel, cfg=DEFAULT_CONFIG):
+    """solve_critical with a cold min_psi deciding every midpoint's sign.
+
+    This is the solver before midpoint signs were certified from a warm
+    z; both must take the same decisions and so return equal points.
+    """
+    lower, upper = bound_window(params, kernel)
+    eps_lo = (1.0 - 1e-9) / (upper * upper)
+    eps_hi = (1.0 + 1e-9) / (lower * lower)
+    f_lo = min_psi(eps_lo, params, kernel, cfg)[1]
+    for _ in range(8):
+        if f_lo < 0.0:
+            break
+        eps_lo *= 0.5
+        f_lo = min_psi(eps_lo, params, kernel, cfg)[1]
+    f_hi = min_psi(eps_hi, params, kernel, cfg)[1]
+    for _ in range(8):
+        if f_hi > 0.0:
+            break
+        eps_hi *= 2.0
+        f_hi = min_psi(eps_hi, params, kernel, cfg)[1]
+    assert f_lo < 0.0 < f_hi
+    lo, hi = eps_lo, eps_hi
+    for _ in range(cfg.max_bisect):
+        if hi - lo <= cfg.eps_rel_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if min_psi(mid, params, kernel, cfg)[1] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    eps0 = 0.5 * (lo + hi)
+    z0, _ = min_psi(eps0, params, kernel, cfg)
+    return critical_point(z0, eps0, params, kernel)
+
+
+def log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def make_kernel(family, param):
+    if family == "gaussian-twin":
+        return tabulated_twin(GaussianKernel(param))
+    if family == "dirac":
+        return DiracKernel()
+    return {"gaussian": GaussianKernel, "uniform": UniformKernel,
+            "twopoint": TwoPointKernel}[family](param)
+
+
 class TestMinPsi:
     def test_sign_straddles_critical_value(self):
         params = ModelParams(p=2.0, h=1.0)
@@ -53,6 +117,31 @@ class TestMinPsi:
         ev = psi_eval(z, 0.4, params, GAUSS1)
         assert abs(ev.dz) < 1e-9
         assert ev.dzz > 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(family=st.sampled_from(("gaussian", "uniform", "twopoint",
+                                   "dirac", "gaussian-twin")),
+           param=st.floats(0.1, 5.0),
+           z=st.floats(1e-3, 20.0),
+           eps=st.floats(1e-2, 10.0),
+           p_minus_1=st.floats(1e-2, 10.0),
+           h=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+    def test_one_evaluation_encloses_the_minimum(self, family, param, z, eps,
+                                                 p_minus_1, h):
+        # psi_zz >= 2*eps makes psi - psi_z^2/(4*eps) <= min psi <= psi at
+        # any z; solve_critical decides midpoint signs from this enclosure
+        kernel = make_kernel(family, param)
+        params = ModelParams(p=1.0 + p_minus_1, h=h)
+        try:
+            ev = psi_eval(z, eps, params, kernel)
+        except MgfOverflowError:
+            assume(False)
+        _, lowest = min_psi(eps, params, kernel)
+        terms = 1.0 + z + eps * z * z + abs(ev.value) + abs(ev.dz) / eps
+        slack = 1e-13 * terms
+        assert ev.value - ev.dz * ev.dz / (4.0 * eps) <= lowest + slack
+        assert lowest <= ev.value + slack
 
     def test_extreme_delay_converges(self):
         # large h pushes the minimizer toward z = 0 with huge curvature;
@@ -116,12 +205,49 @@ class TestSolveCritical:
         params = ModelParams(p=1.0 + 1e-9, h=h)
         kernel = kernel_for(tag)
         cp = solve_critical(params, kernel)
-        assert cp.res_psi <= 1e-9
-        assert cp.res_psi_z <= 1e-9
-        assert cp.psi_zz > 0.0
-        assert cp.psi_eps > 0.0
-        lower, upper = bound_window(params, kernel)
-        assert lower * (1.0 - 1e-12) <= cp.c_star <= upper * (1.0 + 1e-12)
+        assert_certified(cp, params, kernel)
+        assert cp == _bisect_reference(params, kernel)
+
+    @pytest.mark.parametrize("family", ("gaussian", "uniform", "twopoint",
+                                        "dirac", "gaussian-twin"))
+    def test_bit_identical_to_plain_bisection(self, family):
+        # warm midpoint signs must repeat every cold decision exactly
+        rng = random.Random(f"bisect-{family}")
+        for _ in range(64):
+            kernel = make_kernel(family, log_uniform(rng, 0.1, 5.0))
+            h = 0.0 if rng.random() < 0.1 else log_uniform(rng, 1e-3, 5.0)
+            params = ModelParams(p=1.0 + log_uniform(rng, 1e-2, 10.0), h=h)
+            assert solve_critical(params, kernel) == \
+                _bisect_reference(params, kernel), (params, kernel)
+
+    @pytest.mark.parametrize("kernel", (GAUSS1, UniformKernel(1.0)))
+    def test_midpoint_signs_need_few_evaluations(self, kernel, monkeypatch):
+        # with a cold min_psi at each of the ~40 midpoints these solves
+        # take 221 (Gaussian) and 252 (uniform) psi_eval calls; a warm z
+        # needs about one per midpoint
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return psi_eval(*args)
+
+        monkeypatch.setattr(solver, "psi_eval", counted)
+        solve_critical(ModelParams(p=2.0, h=1.0), kernel)
+        assert len(calls) <= 80
+
+    @pytest.mark.parametrize("kernel, p, h", [
+        # min_psi meets psi_z = nan here; taken as negative, it moved the
+        # bracket the wrong way and the inner search stalled
+        (UniformKernel(100.0), 1.0 + 1e-9, 0.0),
+        (UniformKernel(100.0), 1.0 + 1e-9, 1e-6),
+        (UniformKernel(100.0), 1.0 + 1e-9, 1.0),
+        # psi_z = inf - inf = nan sent a Newton step, and psi_eval, to nan
+        (GaussianKernel(1e3), 2.0, 100.0),
+        (TwoPointKernel(50.0), 2.0, 1e4),
+    ])
+    def test_certifies_extreme_inputs(self, kernel, p, h):
+        params = ModelParams(p=p, h=h)
+        assert_certified(solve_critical(params, kernel), params, kernel)
 
     def test_certificate_fields(self):
         cp = solve_critical(ModelParams(p=3.0, h=2.0), GAUSS1)
