@@ -27,9 +27,8 @@ from .front_sim import (BirthFunction, SimConfig, SimResult, SimState,
 from .kernels import (DiracKernel, GaussianKernel, Kernel, TabulatedKernel,
                       TwoPointKernel, UniformKernel, kernel_from_spec,
                       tabulated_twin)
-from .solver import (DEFAULT_CONFIG, SolverConfig, SpeedCurve, cardano_w0,
-                     continue_ode, min_psi, solve_critical, solve_ivp_rho0,
-                     sweep_direct)
+from .solver import (DEFAULT_CONFIG, SpeedCurve, cardano_w0, continue_ode,
+                     min_psi, solve_critical, solve_ivp_rho0, sweep_direct)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "CubicRootError", "DEFAULT_CONFIG", "DegenerateCubicError", "DiracKernel",
     "DomainError", "G_value", "GaussianKernel", "H_value", "Kernel",
     "MgfOverflowError", "ModelParams", "NumericalError", "PsiEval", "R_value",
-    "SimConfig", "SimResult", "SimState", "SolverConfig", "SpeedBounds",
+    "SimConfig", "SimResult", "SimState", "SpeedBounds",
     "SpeedCurve", "TabulatedKernel", "TwoPointKernel", "UniformKernel",
     "UnstableSimulationError", "UnsupportedVariantError", "WavespeedError",
     "ad_upper", "ad_upper_opt", "bound_window", "cardano_w0", "continue_ode",

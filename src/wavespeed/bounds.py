@@ -40,6 +40,9 @@ from .errors import DomainError
 from .kernels import Kernel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# ad_upper_opt: scan points over (0, 1), then golden section to this width
+_AD_GRID = 65
+_AD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,7 @@ def ad_upper(params: ModelParams, kernel: Kernel, r: float) -> float:
     return math.log((params.p / (1.0 - r * r)) * kernel.mgf(r)) / (params.h * r)
 
 
-def ad_upper_opt(params: ModelParams, kernel: Kernel,
-                 grid: int = 65, tol: float = 1e-10) -> tuple[float, float]:
+def ad_upper_opt(params: ModelParams, kernel: Kernel) -> tuple[float, float]:
     """Minimize ad_upper over r by coarse scan plus golden section.
 
     The function is smooth on (0,1) and diverges at both ends (1/r at
@@ -151,23 +153,22 @@ def ad_upper_opt(params: ModelParams, kernel: Kernel,
     """
     if params.h <= 0.0:
         raise DomainError(f"ad_upper_opt needs h > 0, got h={params.h}")
-    if grid < 3:
-        raise DomainError(f"grid must be >= 3, got {grid}")
     lo_edge, hi_edge = 1e-6, 1.0 - 1e-6
 
     def f(r: float) -> float:
         return ad_upper(params, kernel, r)
 
-    rs = [lo_edge + i * (hi_edge - lo_edge) / (grid - 1) for i in range(grid)]
+    rs = [lo_edge + i * (hi_edge - lo_edge) / (_AD_GRID - 1)
+          for i in range(_AD_GRID)]
     vals = [f(r) for r in rs]
-    i_best = min(range(grid), key=vals.__getitem__)
+    i_best = min(range(_AD_GRID), key=vals.__getitem__)
     best_r, best_v = rs[i_best], vals[i_best]
     a = rs[max(i_best - 1, 0)]
-    b = rs[min(i_best + 1, grid - 1)]
+    b = rs[min(i_best + 1, _AD_GRID - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _AD_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -297,6 +297,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {args.samples}")
     params = ModelParams(p=args.p, h=args.h)
     if args.eps is not None:
         eps = args.eps
@@ -327,9 +329,8 @@ def cmd_verify(args) -> int:
         resid = abs(1.0 + x - p * math.exp(-alpha * x))
         checks.append(("ivp-equation-residual", resid <= 1e-12,
                        f"residual {resid:.3g}"))
-        seed = rho0 * (1.0 + args.perturb_seed)
         cp_seed = solve_critical(ModelParams(p=p, h=alpha), kernel)
-        rel = abs(cp_seed.eps0 - seed) / cp_seed.eps0
+        rel = abs(cp_seed.eps0 - rho0) / cp_seed.eps0
         checks.append(("ivp-matches-direct-eps0", rel <= 1e-8,
                        f"rel diff {rel:.3g}"))
         h0, eps_seed = alpha, rho0
@@ -499,9 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("verify", help="built-in consistency suite")
     sp.add_argument("--p", type=_arg_p, default=2.0)
     sp.add_argument("--kernel", type=_arg_kernel, default="gaussian:alpha=1")
-    sp.add_argument("--perturb-seed", type=float, default=0.0,
-                    help="test hook: relative perturbation injected into the "
-                         "seed consistency check (nonzero must cause FAIL)")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("simulate", help="direct front simulation")

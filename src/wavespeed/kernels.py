@@ -19,7 +19,8 @@ merely approximate.
 Heavy-tailed kernels (Laplace, Cauchy, ...) have no finite M and are
 rejected at construction by not existing here.  Kernels with atoms are
 supported even though much of the surrounding theory is usually stated
-for densities; they have no `density` and discretize their atoms directly.
+for densities; they have no `density`, and all of them discretize
+through `_fold_atoms` onto the contiguous offsets a density gets.
 """
 
 from __future__ import annotations
@@ -47,6 +48,27 @@ def checked_exp(x: float) -> float:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DomainError(msg)
+
+
+def _fold_atoms(support, masses, dx: float):
+    """Discretize pair atoms (s_j >= 0, m_j) on a grid of spacing dx.
+
+    Atom j puts half its mass at each of the offsets +-round(s_j/dx);
+    returns offsets -W..W (zero between atoms) and unit-sum weights.
+    """
+    _require(dx > 0.0, f"dx must be positive, got {dx}")
+    acc: dict[int, float] = {}
+    for s_j, m_j in zip(support, masses):
+        j = int(round(s_j / dx))
+        if j == 0:
+            acc[0] = acc.get(0, 0.0) + m_j
+        else:
+            acc[j] = acc.get(j, 0.0) + 0.5 * m_j
+            acc[-j] = acc.get(-j, 0.0) + 0.5 * m_j
+    nw = max(abs(j) for j in acc)
+    offsets = np.arange(-nw, nw + 1)
+    weights = np.array([acc.get(int(j), 0.0) for j in offsets])
+    return offsets, weights / weights.sum()
 
 
 class Kernel(ABC):
@@ -243,11 +265,7 @@ class TwoPointKernel(Kernel):
         return self.a
 
     def discrete_weights(self, dx: float, half_width: float):
-        _require(dx > 0.0, f"dx must be positive, got {dx}")
-        j = int(round(self.a / dx))
-        if j == 0:
-            return np.array([0]), np.array([1.0])
-        return np.array([-j, 0, j]), np.array([0.5, 0.0, 0.5])
+        return _fold_atoms((self.a,), (1.0,), dx)
 
     def spec_string(self) -> str:
         return f"twopoint:a={self.a:g}"
@@ -278,8 +296,7 @@ class DiracKernel(Kernel):
         return 0.0
 
     def discrete_weights(self, dx: float, half_width: float):
-        _require(dx > 0.0, f"dx must be positive, got {dx}")
-        return np.array([0]), np.array([1.0])
+        return _fold_atoms((0.0,), (1.0,), dx)
 
     def spec_string(self) -> str:
         return "dirac"
@@ -302,6 +319,7 @@ class TabulatedKernel(Kernel):
     """
 
     _GL_ORDER = 32
+    _GL_PANELS = 8
 
     def __init__(self, support, masses, label: str = "table"):
         s = np.asarray(support, dtype=float)
@@ -338,19 +356,15 @@ class TabulatedKernel(Kernel):
         return cls([s for s, _ in items], [m for _, m in items], label=label)
 
     @classmethod
-    def from_density(cls, density, half_width: float, nodes: int = 513,
+    def from_density(cls, density, half_width: float,
                      label: str = "table") -> "TabulatedKernel":
         """Quadrature kernel: composite Gauss-Legendre panels on [0, S].
 
-        `nodes` is the total budget across [-S, S]; the half line gets
-        nodes//2 of them, grouped into panels of order 32.  Pair masses
-        are 2*weight*density(node), renormalized to unit total.
+        The half line gets 8 equal panels of order 32 (256 nodes).  Pair
+        masses are 2*weight*density(node), renormalized to unit total.
         """
         _require(half_width > 0.0, f"half_width must be positive, got {half_width}")
-        _require(nodes >= 8, f"need at least 8 quadrature nodes, got {nodes}")
-        n_half = max(cls._GL_ORDER, nodes // 2)
-        panels = max(1, math.ceil(n_half / cls._GL_ORDER))
-        edges = np.linspace(0.0, half_width, panels + 1)
+        edges = np.linspace(0.0, half_width, cls._GL_PANELS + 1)
         xg, wg = np.polynomial.legendre.leggauss(cls._GL_ORDER)
         pos, mass = [], []
         for a, b in zip(edges[:-1], edges[1:]):
@@ -384,25 +398,13 @@ class TabulatedKernel(Kernel):
         return float(self._s[-1])
 
     def discrete_weights(self, dx: float, half_width: float):
-        _require(dx > 0.0, f"dx must be positive, got {dx}")
-        acc: dict[int, float] = {}
-        for s_j, m_j in zip(self._s, self._m):
-            j = int(round(s_j / dx))
-            if j == 0:
-                acc[0] = acc.get(0, 0.0) + m_j
-            else:
-                acc[j] = acc.get(j, 0.0) + 0.5 * m_j
-                acc[-j] = acc.get(-j, 0.0) + 0.5 * m_j
-        nw = max(abs(j) for j in acc)
-        offsets = np.arange(-nw, nw + 1)
-        weights = np.array([acc.get(int(j), 0.0) for j in offsets])
-        return offsets, weights / weights.sum()
+        return _fold_atoms(self._s, self._m, dx)
 
     def spec_string(self) -> str:
         return self._label
 
 
-def tabulated_twin(kernel: Kernel, nodes: int = 513) -> TabulatedKernel:
+def tabulated_twin(kernel: Kernel) -> TabulatedKernel:
     """Quadrature replacement for a closed-form kernel.
 
     Atom kernels copy their atoms exactly; density kernels are sampled
@@ -419,7 +421,7 @@ def tabulated_twin(kernel: Kernel, nodes: int = 513) -> TabulatedKernel:
     half = 10.0 * (1.0 + math.sqrt(kernel.second_moment()))
     half = min(half, kernel.support_radius())
     return TabulatedKernel.from_density(
-        kernel.density, half_width=half, nodes=nodes,
+        kernel.density, half_width=half,
         label=f"twin-of-{kernel.spec_string()}")
 
 

@@ -18,6 +18,9 @@ monotone 1-D problems instead of a 2-D Newton iteration:
     window is inflated by one part in 1e9 because for the point-mass
     kernel at h in {0, 1} the window degenerates to a point.
 
+The tolerances are fixed (DEFAULT_CONFIG): eps to 1e-12 relative,
+|psi_z| <= 1e-13 inside min_psi, and |psi|, |psi_z| <= 1e-9 at eps0.
+
 On top of the direct solver:
 
   * solve_ivp_rho0 gives the classical seed value eps0(h=alpha) for the
@@ -53,8 +56,8 @@ _ENTRY_PSI_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and iteration caps for the nested bisection solver."""
+class _SolverConfig:
+    """The solver's fixed tolerances and iteration caps."""
 
     eps_rel_tol: float = 1e-12
     residual_tol: float = 1e-9
@@ -62,18 +65,8 @@ class SolverConfig:
     inner_tol: float = 1e-13
     max_inner: int = 100
 
-    def __post_init__(self):
-        for name in ("eps_rel_tol", "residual_tol", "inner_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive, got {v}")
-        for name in ("max_bisect", "max_inner"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise DomainError(f"{name} must be an integer >= 1, got {v}")
 
-
-DEFAULT_CONFIG = SolverConfig()
+DEFAULT_CONFIG = _SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -120,8 +113,7 @@ class SpeedCurve:
         return len(self.h)
 
 
-def min_psi(eps: float, params: ModelParams, kernel: Kernel,
-            cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, float]:
     """Minimize the strictly convex z -> psi(z, eps); return (z_min, psi_min).
 
     psi_z(0) = -1 - p*h < 0, so the minimum is interior; the sign change
@@ -153,7 +145,7 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel,
     x = 0.5 * (lo + hi)
     dx_old = hi - lo
     dx = dx_old
-    for _ in range(cfg.max_inner):
+    for _ in range(DEFAULT_CONFIG.max_inner):
         try:
             ev = psi_eval(x, eps, params, kernel)
             overflow = not (math.isfinite(ev.dz) and math.isfinite(ev.dzz))
@@ -164,7 +156,7 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel,
             x = 0.5 * (lo + hi)
             dx_old = dx = hi - lo
             continue
-        if abs(ev.dz) <= cfg.inner_tol:
+        if abs(ev.dz) <= DEFAULT_CONFIG.inner_tol:
             return x, ev.value
         if ev.dz > 0.0:
             hi = x
@@ -190,7 +182,8 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel,
             dx = ev.dz / ev.dzz
             x -= dx
     raise ConvergenceError(
-        f"inner minimization stalled above |psi_z| <= {cfg.inner_tol:g}")
+        "inner minimization stalled above "
+        f"|psi_z| <= {DEFAULT_CONFIG.inner_tol:g}")
 
 
 # a midpoint's sign is certified only when psi clears this many ulps of
@@ -201,7 +194,7 @@ _SIGN_TRIES = 3
 
 
 def _min_psi_positive(eps: float, z: float, params: ModelParams,
-                      kernel: Kernel, cfg: SolverConfig) -> tuple[bool, float]:
+                      kernel: Kernel) -> tuple[bool, float]:
     """Decide min_psi(eps)[1] > 0.0 from a warm z; return it and the next z.
 
     psi_zz >= 2*eps, so one evaluation at z > 0 encloses the minimum:
@@ -223,16 +216,15 @@ def _min_psi_positive(eps: float, z: float, params: ModelParams,
         z = step if math.isfinite(step) and step > 0.0 else 0.5 * z
         # a cold min_psi stops where |psi_z| <= inner_tol, which leaves
         # its value up to inner_tol^2/(4*eps) above the minimum
-        if ev.value < -tau - cfg.inner_tol * cfg.inner_tol / (4.0 * eps):
+        if ev.value < -tau - DEFAULT_CONFIG.inner_tol ** 2 / (4.0 * eps):
             return False, z
         if ev.value - ev.dz * ev.dz / (4.0 * eps) > tau:
             return True, z
-    z, f = min_psi(eps, params, kernel, cfg)
+    z, f = min_psi(eps, params, kernel)
     return f > 0.0, z
 
 
-def solve_critical(params: ModelParams, kernel: Kernel,
-                   cfg: SolverConfig = DEFAULT_CONFIG) -> CriticalPoint:
+def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
     """Direct double-root solve by bisection on eps -> psi_min(eps).
 
     The initial eps bracket comes from the explicit bound window; the
@@ -243,7 +235,8 @@ def solve_critical(params: ModelParams, kernel: Kernel,
     iterate z whenever the enclosure of psi_min at z clears rounding,
     and from a cold min_psi otherwise, so every decision equals the cold
     one (see _min_psi_positive).  The returned point carries residuals
-    and the positivity certificate (psi_zz, psi_eps).
+    and the positivity certificate (psi_zz, psi_eps); residuals above
+    1e-9 raise ConvergenceError.
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
@@ -253,44 +246,45 @@ def solve_critical(params: ModelParams, kernel: Kernel,
     eps_lo = (1.0 - 1e-9) / (upper * upper)
     eps_hi = (1.0 + 1e-9) / (lower * lower)
 
-    f_lo = min_psi(eps_lo, params, kernel, cfg)[1]
+    f_lo = min_psi(eps_lo, params, kernel)[1]
     for _ in range(8):
         if f_lo < 0.0:
             break
         eps_lo *= 0.5
-        f_lo = min_psi(eps_lo, params, kernel, cfg)[1]
-    z, f_hi = min_psi(eps_hi, params, kernel, cfg)
+        f_lo = min_psi(eps_lo, params, kernel)[1]
+    z, f_hi = min_psi(eps_hi, params, kernel)
     for _ in range(8):
         if f_hi > 0.0:
             break
         eps_hi *= 2.0
-        z, f_hi = min_psi(eps_hi, params, kernel, cfg)
+        z, f_hi = min_psi(eps_hi, params, kernel)
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(
             f"psi_min has no sign change over eps in [{eps_lo:g}, {eps_hi:g}]")
 
     lo, hi = eps_lo, eps_hi
-    for _ in range(cfg.max_bisect):
-        if hi - lo <= cfg.eps_rel_tol * hi:
+    for _ in range(DEFAULT_CONFIG.max_bisect):
+        if hi - lo <= DEFAULT_CONFIG.eps_rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        above, z = _min_psi_positive(mid, z, params, kernel, cfg)
+        above, z = _min_psi_positive(mid, z, params, kernel)
         if above:
             hi = mid
         else:
             lo = mid
     else:
         raise ConvergenceError(
-            f"eps bisection did not reach rel tol {cfg.eps_rel_tol:g} "
-            f"within {cfg.max_bisect} iterations")
+            f"eps bisection did not reach rel tol {DEFAULT_CONFIG.eps_rel_tol:g} "
+            f"within {DEFAULT_CONFIG.max_bisect} iterations")
 
     eps0 = 0.5 * (lo + hi)
-    z0, _ = min_psi(eps0, params, kernel, cfg)
+    z0, _ = min_psi(eps0, params, kernel)
     cp = critical_point(z0, eps0, params, kernel)
-    if cp.res_psi > cfg.residual_tol or cp.res_psi_z > cfg.residual_tol:
+    tol = DEFAULT_CONFIG.residual_tol
+    if cp.res_psi > tol or cp.res_psi_z > tol:
         raise ConvergenceError(
             f"critical point residuals ({cp.res_psi:.3g}, {cp.res_psi_z:.3g}) "
-            f"exceed {cfg.residual_tol:g}")
+            f"exceed {tol:g}")
     if not (cp.psi_zz > 0.0 and cp.psi_eps > 0.0):
         raise ConvergenceError(
             "transversality certificate failed (psi_zz or psi_eps <= 0)")
@@ -414,21 +408,19 @@ def cardano_w0(eps: float, h: float, alpha: float) -> float:
     return w0
 
 
-def _w0_on_curve(p: float, kernel: Kernel, h: float, eps: float,
-                 cfg: SolverConfig) -> float:
+def _w0_on_curve(p: float, kernel: Kernel, h: float, eps: float) -> float:
     """w0 = sqrt(eps)*argmin psi at a point assumed on the critical curve."""
     if isinstance(kernel, GaussianKernel):
         try:
             return cardano_w0(eps, h, kernel.alpha)
         except DegenerateCubicError:
             pass
-    z, _ = min_psi(eps, ModelParams(p=p, h=h), kernel, cfg)
+    z, _ = min_psi(eps, ModelParams(p=p, h=h), kernel)
     return math.sqrt(eps) * z
 
 
 def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
-                 h_end: float, steps: int,
-                 cfg: SolverConfig = DEFAULT_CONFIG) -> SpeedCurve:
+                 h_end: float, steps: int) -> SpeedCurve:
     """Trace eps0(h) from a seed by integrating its defining ODE.
 
         eps0'(h) = 2*eps0*G(w0) / (1 + h*G(w0)),  G(w) = 1 + w/sqrt(eps0) - w^2
@@ -446,7 +438,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         raise DomainError(f"eps_init must be positive, got {eps_init}")
     params0 = ModelParams(p=p, h=h0)  # validates p, h0
     ModelParams(p=p, h=h_end)
-    _, psi_seed = min_psi(eps_init, params0, kernel, cfg)
+    _, psi_seed = min_psi(eps_init, params0, kernel)
     if abs(psi_seed) > _ENTRY_PSI_TOL:
         raise DomainError(
             f"eps_init={eps_init:g} is not on the critical curve at h={h0:g} "
@@ -455,7 +447,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
     use_cardano = isinstance(kernel, GaussianKernel)
 
     def slope(h: float, eps: float) -> float:
-        w0 = _w0_on_curve(p, kernel, h, eps, cfg)
+        w0 = _w0_on_curve(p, kernel, h, eps)
         g = G_value(w0, eps)
         return 2.0 * eps * g / (1.0 + h * g)
 
@@ -488,7 +480,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
             hs.append(h_cur)
             epss.append(eps_cur)
 
-    cp_end = solve_critical(ModelParams(p=p, h=h_end), kernel, cfg)
+    cp_end = solve_critical(ModelParams(p=p, h=h_end), kernel)
     c_end = 1.0 / math.sqrt(epss[-1])
     gap = abs(c_end - cp_end.c_star) / cp_end.c_star
     if gap > _ENDPOINT_RTOL:
@@ -501,7 +493,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         epss.reverse()
     z0s, res_p, res_pz = [], [], []
     for h_i, eps_i in zip(hs, epss):
-        w0 = _w0_on_curve(p, kernel, h_i, eps_i, cfg)
+        w0 = _w0_on_curve(p, kernel, h_i, eps_i)
         z_i = w0 / math.sqrt(eps_i)
         ev = psi_eval(z_i, eps_i, ModelParams(p=p, h=h_i), kernel)
         z0s.append(z_i)
@@ -521,8 +513,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
     )
 
 
-def sweep_direct(p: float, kernel: Kernel, h_values: Sequence[float],
-                 cfg: SolverConfig = DEFAULT_CONFIG) -> SpeedCurve:
+def sweep_direct(p: float, kernel: Kernel, h_values: Sequence[float]) -> SpeedCurve:
     """Independent direct solves over an h-grid, ordered by h.
 
     The grid is sorted and deduplicated; a point that fails raises.
@@ -530,7 +521,7 @@ def sweep_direct(p: float, kernel: Kernel, h_values: Sequence[float],
     hs = sorted(set(float(h) for h in h_values))
     if not hs:
         raise DomainError("sweep_direct needs at least one h value")
-    cps = [solve_critical(ModelParams(p=p, h=h), kernel, cfg) for h in hs]
+    cps = [solve_critical(ModelParams(p=p, h=h), kernel) for h in hs]
     return SpeedCurve(
         method="direct",
         h=tuple(hs),

@@ -17,7 +17,8 @@ from wavespeed.front_sim import (
     run,
     step,
 )
-from wavespeed.kernels import DiracKernel, GaussianKernel
+from wavespeed.kernels import DiracKernel, GaussianKernel, TwoPointKernel
+from wavespeed.solver import solve_critical
 
 
 class TestBirthFunction:
@@ -188,6 +189,17 @@ class TestRun:
                      BirthFunction.nicholson(2.0))
         assert result.speed > 0.5
         assert result.fit_residual < 1.0
+
+    def test_two_point_kernel_front(self):
+        # the atom kernel's 21-tap discretization drives a front at
+        # nearly the solver's speed
+        params = ModelParams(p=2.0, h=0.0)
+        kernel = TwoPointKernel(1.0)
+        c_star = solve_critical(params, kernel).c_star
+        result = run(SimConfig(length=150.0, dx=0.2, t_end=30.0), params,
+                     kernel, BirthFunction.nicholson(2.0))
+        assert not result.hit_boundary
+        assert abs(result.speed - c_star) < 0.1 * c_star
 
     def test_boundary_stop(self):
         # a domain too short for the horizon must stop early and say so

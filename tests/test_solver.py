@@ -27,7 +27,6 @@ from wavespeed.kernels import (
 )
 from wavespeed.solver import (
     DEFAULT_CONFIG,
-    SolverConfig,
     SpeedCurve,
     cardano_w0,
     continue_ode,
@@ -54,7 +53,7 @@ def assert_certified(cp, params, kernel):
     assert lower * (1.0 - 1e-12) <= cp.c_star <= upper * (1.0 + 1e-12)
 
 
-def _bisect_reference(params, kernel, cfg=DEFAULT_CONFIG):
+def _bisect_reference(params, kernel):
     """solve_critical with a cold min_psi deciding every midpoint's sign.
 
     This is the solver before midpoint signs were certified from a warm
@@ -63,30 +62,30 @@ def _bisect_reference(params, kernel, cfg=DEFAULT_CONFIG):
     lower, upper = bound_window(params, kernel)
     eps_lo = (1.0 - 1e-9) / (upper * upper)
     eps_hi = (1.0 + 1e-9) / (lower * lower)
-    f_lo = min_psi(eps_lo, params, kernel, cfg)[1]
+    f_lo = min_psi(eps_lo, params, kernel)[1]
     for _ in range(8):
         if f_lo < 0.0:
             break
         eps_lo *= 0.5
-        f_lo = min_psi(eps_lo, params, kernel, cfg)[1]
-    f_hi = min_psi(eps_hi, params, kernel, cfg)[1]
+        f_lo = min_psi(eps_lo, params, kernel)[1]
+    f_hi = min_psi(eps_hi, params, kernel)[1]
     for _ in range(8):
         if f_hi > 0.0:
             break
         eps_hi *= 2.0
-        f_hi = min_psi(eps_hi, params, kernel, cfg)[1]
+        f_hi = min_psi(eps_hi, params, kernel)[1]
     assert f_lo < 0.0 < f_hi
     lo, hi = eps_lo, eps_hi
-    for _ in range(cfg.max_bisect):
-        if hi - lo <= cfg.eps_rel_tol * hi:
+    for _ in range(DEFAULT_CONFIG.max_bisect):
+        if hi - lo <= DEFAULT_CONFIG.eps_rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if min_psi(mid, params, kernel, cfg)[1] > 0.0:
+        if min_psi(mid, params, kernel)[1] > 0.0:
             hi = mid
         else:
             lo = mid
     eps0 = 0.5 * (lo + hi)
-    z0, _ = min_psi(eps0, params, kernel, cfg)
+    z0, _ = min_psi(eps0, params, kernel)
     return critical_point(z0, eps0, params, kernel)
 
 
@@ -409,18 +408,3 @@ class TestSpeedCurveValidation:
         with pytest.raises(DomainError):
             SpeedCurve(method="magic", h=(0.5,), eps0=(1.0,), z0=(1.0,),
                        c_star=(0.7,), res_psi=(0.0,), res_psi_z=(0.0,))
-
-
-class TestSolverConfig:
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(DomainError):
-            SolverConfig(eps_rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(residual_tol=-1.0)
-        with pytest.raises(DomainError):
-            SolverConfig(max_bisect=0)
-
-    def test_custom_tolerance_is_honored(self):
-        loose = SolverConfig(eps_rel_tol=1e-6, residual_tol=1e-3)
-        cp = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1, loose)
-        assert rel(cp.eps0, REFERENCE["gauss_h1"]["eps0"]) < 1e-5
