@@ -22,8 +22,8 @@ from .errors import (BracketError, ConvergenceError, CubicRootError,
                      DegenerateCubicError, DomainError, MgfOverflowError,
                      NumericalError, UnstableSimulationError,
                      UnsupportedVariantError, WavespeedError)
-from .front_sim import (BirthFunction, SimConfig, SimResult, SimState,
-                        fit_front_speed, front_position, make_state, run, step)
+from .front_sim import (BirthFunction, SimConfig, SimResult, fit_front_speed,
+                        front_position, run)
 from .kernels import (DiracKernel, GaussianKernel, Kernel, TabulatedKernel,
                       TwoPointKernel, UniformKernel, kernel_from_spec,
                       tabulated_twin)
@@ -37,12 +37,12 @@ __all__ = [
     "CubicRootError", "DEFAULT_CONFIG", "DegenerateCubicError", "DiracKernel",
     "DomainError", "G_value", "GaussianKernel", "H_value", "Kernel",
     "MgfOverflowError", "ModelParams", "NumericalError", "PsiEval", "R_value",
-    "SimConfig", "SimResult", "SimState", "SpeedBounds",
+    "SimConfig", "SimResult", "SpeedBounds",
     "SpeedCurve", "TabulatedKernel", "TwoPointKernel", "UniformKernel",
     "UnstableSimulationError", "UnsupportedVariantError", "WavespeedError",
     "ad_upper", "ad_upper_opt", "bound_window", "cardano_w0", "continue_ode",
     "critical_point", "fit_front_speed", "front_position", "k1", "k2",
-    "kernel_from_spec", "make_state", "min_psi", "psi_eval", "run",
-    "solve_critical", "solve_ivp_rho0", "speed_bounds", "step",
-    "sweep_direct", "tabulated_twin", "wform_residuals",
+    "kernel_from_spec", "min_psi", "psi_eval", "run", "solve_critical",
+    "solve_ivp_rho0", "speed_bounds", "sweep_direct", "tabulated_twin",
+    "wform_residuals",
 ]

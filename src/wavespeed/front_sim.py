@@ -3,21 +3,23 @@
 Integrates u_t = u_xx - u + (K * g(u(t-h, .)))(x) on [0, L] with an
 explicit Euler step, central-difference Laplacian, zero-flux (Neumann)
 boundaries, and the convolution done directly against precomputed
-discrete kernel weights.  A compactly supported step of the initial
-condition spreads rightward; the measured front speed should match the
-minimal wave speed from the solver, which is the cross-validation this
-module exists for.
+discrete kernel weights.  A step at g's positive equilibrium on
+[0, init_width] spreads rightward; the measured front speed should
+match the minimal wave speed from the solver, which is the
+cross-validation this module exists for.
 
-Design constraints that the defaults encode:
+Fixed choices, none of them settable:
 
-  * dt <= 0.45*dx^2 keeps the explicit scheme stable and, at the grid
-    sizes used here, keeps the update a positive combination of
-    nonnegative quantities, so clamping at zero stays a no-op counter.
-  * dt is then snapped so that the delay h is an integer number of
-    steps; the history buffer holds exactly those h/dt past slices,
-    pre-filled with the initial condition (constant history).
-  * The convolution weights are renormalized to unit sum so the
-    discrete birth term preserves equilibria exactly.
+  * dt = 0.45*dx^2 keeps the explicit scheme stable and the update a
+    positive combination, so clamping at zero stays a no-op counter;
+    dt is then snapped so that h is an integer number of steps, and
+    the history holds those h/dt slices, pre-filled with the initial
+    condition (constant history).
+  * The convolution weights have unit sum, so equilibria are exact.
+  * The run stops two cells before the stencil's reach of the right
+    edge (the larger of kernel_half_width and the discrete kernel's
+    half-width, which atom kernels may exceed).
+  * The speed is fitted over the trailing 40 % of the front trace.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import DomainError, UnstableSimulationError
 from .kernels import Kernel
 
 _STABILITY = 0.45  # dt <= _STABILITY * dx^2
+_FIT_FRACTION = 0.4  # trailing fraction of the front trace that is fitted
 
 
 @dataclass(frozen=True)
@@ -82,17 +85,17 @@ class BirthFunction:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, time horizon, and measurement settings for one run."""
+    """Grid, time horizon, and measurement settings for one run.
+
+    dt is not set here: it is always 0.45*dx^2 snapped to divide h.
+    """
 
     length: float = 400.0
     dx: float = 0.1
     t_end: float = 100.0
-    dt: Optional[float] = None        # None: largest stable step, then snapped
     threshold_frac: float = 0.5       # front threshold as fraction of equilibrium
     init_width: float = 20.0          # initial step occupies [0, init_width]
-    init_height: Optional[float] = None  # None: the positive equilibrium
     kernel_half_width: float = 10.0   # convolution truncation (space units)
-    fit_fraction: float = 0.4         # trailing fraction of the trace to fit
 
     def __post_init__(self):
         if not (self.dx > 0.0 and math.isfinite(self.dx)):
@@ -101,19 +104,11 @@ class SimConfig:
             raise DomainError("domain must span at least 20 grid cells")
         if not (self.t_end > 0.0):
             raise DomainError(f"t_end must be positive, got {self.t_end}")
-        if self.dt is not None:
-            if not (0.0 < self.dt <= _STABILITY * self.dx * self.dx):
-                raise DomainError(
-                    f"dt={self.dt:g} violates stability dt <= "
-                    f"{_STABILITY:g}*dx^2 = {_STABILITY * self.dx ** 2:g}")
         if not (0.0 < self.threshold_frac < 1.0):
             raise DomainError(
                 f"threshold_frac must lie in (0,1), got {self.threshold_frac}")
         if not (0.0 < self.init_width < self.length):
             raise DomainError("init_width must lie inside the domain")
-        if not (0.0 < self.fit_fraction <= 1.0):
-            raise DomainError(
-                f"fit_fraction must lie in (0,1], got {self.fit_fraction}")
         if not (self.kernel_half_width > 0.0):
             raise DomainError("kernel_half_width must be positive")
 
@@ -149,7 +144,7 @@ class SimResult:
 
 def resolve_dt(cfg: SimConfig, h: float) -> tuple[float, int]:
     """Pick the time step: stability-limited, then snapped to divide h."""
-    dt0 = cfg.dt if cfg.dt is not None else _STABILITY * cfg.dx * cfg.dx
+    dt0 = _STABILITY * cfg.dx * cfg.dx
     if h <= 0.0:
         return dt0, 0
     n = max(1, math.ceil(h / dt0 - 1e-12))
@@ -161,8 +156,7 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     """Allocate the grid, discretize the kernel, pre-fill the history."""
     nx = int(round(cfg.length / cfg.dx)) + 1
     x = np.arange(nx) * cfg.dx
-    height = cfg.init_height if cfg.init_height is not None else g.equilibrium
-    u0 = np.where(x <= cfg.init_width, float(height), 0.0)
+    u0 = np.where(x <= cfg.init_width, float(g.equilibrium), 0.0)
     dt, n_delay = resolve_dt(cfg, params.h)
     offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
     pad = int(offsets[-1])
@@ -171,8 +165,7 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
                     dt=dt, n_delay=n_delay)
 
 
-def step(state: SimState, cfg: SimConfig, kernel: Kernel,
-         g: BirthFunction) -> SimState:
+def step(state: SimState, cfg: SimConfig, g: BirthFunction) -> SimState:
     """Advance one explicit Euler step in place; returns the same state.
 
     The delayed slice is the oldest history entry (the current field
@@ -224,9 +217,8 @@ def front_position(u: np.ndarray, dx: float, theta: float) -> float:
     return (i + float(frac)) * dx
 
 
-def fit_front_speed(times, positions, fit_fraction: float = 0.4
-                    ) -> tuple[float, float]:
-    """Least-squares slope of x_f(t) over the trailing window.
+def fit_front_speed(times, positions) -> tuple[float, float]:
+    """Least-squares slope of x_f(t) over the trailing 40 % of the trace.
 
     Returns (speed, rms residual).  Exact on an exactly linear trace.
     """
@@ -234,7 +226,7 @@ def fit_front_speed(times, positions, fit_fraction: float = 0.4
     x = np.asarray(positions, dtype=float)
     if t.size != x.size or t.size < 2:
         raise DomainError("need at least two trace points to fit a speed")
-    k = max(2, int(math.ceil(t.size * fit_fraction)))
+    k = max(2, int(math.ceil(t.size * _FIT_FRACTION)))
     t, x = t[-k:], x[-k:]
     slope, intercept = np.polyfit(t, x, 1)
     resid = x - (slope * t + intercept)
@@ -242,35 +234,37 @@ def fit_front_speed(times, positions, fit_fraction: float = 0.4
 
 
 def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
-        g: Optional[BirthFunction] = None,
-        reference_speed: Optional[float] = None) -> SimResult:
+        g: BirthFunction, reference_speed: Optional[float] = None) -> SimResult:
     """Evolve to t_end (or until the front nears the boundary) and fit.
 
     The run stops early, flagged hit_boundary, once the front enters the
     zone where convolution padding distorts the dynamics; the trace up
-    to that point is still fitted.
+    to that point is still fitted.  A run that starts in that zone
+    raises DomainError.
     """
-    if g is None:
-        g = BirthFunction.nicholson(params.p)
-    elif abs(g.p - params.p) > 1e-12:
+    if abs(g.p - params.p) > 1e-12:
         raise DomainError(
             f"birth function slope {g.p:g} disagrees with params.p {params.p:g}")
     state = make_state(cfg, params, kernel, g)
     theta = cfg.threshold_frac * g.equilibrium
-    stop_x = cfg.length - cfg.kernel_half_width - 2.0 * cfg.dx
-    n_steps = int(math.ceil(cfg.t_end / state.dt))
+    reach = max(cfg.kernel_half_width, state.pad * cfg.dx)
+    stop_x = cfg.length - reach - 2.0 * cfg.dx
     times = [0.0]
     fronts = [front_position(state.u, cfg.dx, theta)]
+    if fronts[0] >= stop_x:
+        raise DomainError(f"initial front x={fronts[0]:g} is already at or "
+                          f"past the stop line x={stop_x:g}")
+    n_steps = int(math.ceil(cfg.t_end / state.dt))
     hit_boundary = False
     for _ in range(n_steps):
-        step(state, cfg, kernel, g)
+        step(state, cfg, g)
         xf = front_position(state.u, cfg.dx, theta)
         times.append(state.t)
         fronts.append(xf)
         if xf >= stop_x:
             hit_boundary = True
             break
-    speed, resid = fit_front_speed(times, fronts, cfg.fit_fraction)
+    speed, resid = fit_front_speed(times, fronts)
     return SimResult(
         times=tuple(times),
         front=tuple(fronts),

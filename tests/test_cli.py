@@ -215,6 +215,14 @@ class TestSimulateCommand:
                      "--kernel-half-width", "2"]) == 0
         assert "fitted speed" in capsys.readouterr().out
 
+    def test_rejects_start_past_stop_line(self, capsys):
+        # a 40-unit stencil on a 50-unit domain leaves no room to spread
+        assert main(["simulate", "--p", "2", "--h", "0",
+                     "--kernel", "dirac", "--length", "50",
+                     "--init-width", "20", "--kernel-half-width", "40",
+                     "--t-end", "5"]) == 2
+        assert "stop line" in capsys.readouterr().err
+
 
 class TestParserHygiene:
     def test_requires_subcommand(self, capsys):
