@@ -1,24 +1,40 @@
 """Direct simulation of the delayed nonlocal front model.
 
-Integrates u_t = u_xx - u + (K * g(u(t-h, .)))(x) on [0, L] with an
-explicit Euler step, central-difference Laplacian, zero-flux (Neumann)
-boundaries, and the convolution done directly against precomputed
-discrete kernel weights.  A step at g's positive equilibrium on
-[0, init_width] spreads rightward; the measured front speed should
-match the minimal wave speed from the solver, which is the
-cross-validation this module exists for.
+Integrates u_t = u_xx - u + (K * g(u(t-h, .)))(x) on [0, L] with
+zero-flux (Neumann) boundaries, by one positive macro step per Delta
+time units.  A step at g's positive equilibrium on [0, init_width]
+spreads rightward; the measured front speed should match the minimal
+wave speed from the solver, which is the cross-validation this module
+exists for.
+
+The macro step equals m explicit Euler substeps of length delta =
+Delta/m (central-difference Laplacian, mirror ghosts), with the
+delayed forcing F_j = K * g(u_{j-N}) interpolated linearly across the
+step at each substep's midpoint.  Folding the substeps together gives
+
+    u_{n+1} = S u_n + Pa F_n + Pb F_{n+1},
+
+with S = s1^{*m} for s1 = [r, 1 - delta - 2r, r], r = delta/dx^2, and
+Pa, Pb = delta * sum_k (1 - theta_k, theta_k) s1^{*(m-1-k)}, theta_k =
+(k + 1/2)/m.  Each forcing slice is convolved with K once, however
+many substeps the stencils stand for.
 
 Fixed choices, none of them settable:
 
-  * dt = 0.45*dx^2 keeps the explicit scheme stable and the update a
-    positive combination, so clamping at zero stays a no-op counter;
-    dt is then snapped so that h is an integer number of steps, and
-    the history holds those h/dt slices, pre-filled with the initial
-    condition (constant history).
-  * The convolution weights have unit sum, so equilibria are exact.
-  * The run stops two cells before the stencil's reach of the right
-    edge (the larger of kernel_half_width and the discrete kernel's
-    half-width, which atom kernels may exceed).
+  * Delta = 0.1, snapped so that h = N*Delta (Delta = h/ceil(h/0.1));
+    at h = 0, N = 0 and the missing F_{n+1} comes from the predictor
+    S u_n + (Pa + Pb) F_n.
+  * m = ceil(Delta/(0.45*dx^2)) keeps s1, and so S, Pa and Pb,
+    nonnegative; their weights sum to 1, so equilibria are exact and
+    clamping at zero stays a no-op counter.  Every operator is a
+    direct convolution (np.convolve), never an FFT, so the state ahead
+    of the front stays exactly zero.
+  * S, Pa and Pb use reflect padding (mirror ghosts on every substep);
+    K uses edge replication.  The history holds u_{n-N}..u_n (N + 1
+    slices), pre-filled with the initial condition (constant history).
+  * The run stops two cells before the stencils' reach of the right
+    edge (the largest of kernel_half_width, the discrete kernel's
+    half-width, which atom kernels may exceed, and m cells).
   * The speed is fitted over the trailing 40 % of the front trace.
 """
 
@@ -35,7 +51,8 @@ from .charfun import ModelParams
 from .errors import DomainError, UnstableSimulationError
 from .kernels import Kernel
 
-_STABILITY = 0.45  # dt <= _STABILITY * dx^2
+_MACRO_STEP = 0.1  # Delta before snapping to divide h
+_STABILITY = 0.45  # substep delta <= _STABILITY * dx^2
 _FIT_FRACTION = 0.4  # trailing fraction of the front trace that is fitted
 
 
@@ -87,7 +104,8 @@ class BirthFunction:
 class SimConfig:
     """Grid, time horizon, and measurement settings for one run.
 
-    dt is not set here: it is always 0.45*dx^2 snapped to divide h.
+    The time step is not set here: it is always 0.1 snapped to divide h,
+    split into substeps of at most 0.45*dx^2 inside the stencils.
     """
 
     length: float = 400.0
@@ -115,14 +133,26 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Mutable state of one run; owned exclusively by that run."""
+    """Mutable state of one run; owned exclusively by that run.
+
+    s, pa and pb are the step's stencils S, Pa and Pb (2m+1 taps each,
+    nonnegative, together of unit sum); forcing is F_n = K * g(u_{n-N}),
+    carried so that each history slice meets K once (at N = 0, step
+    takes F_n from u_n instead).  reflect and edge index the grid
+    padded by m and by K's half-width cells.
+    """
 
     u: np.ndarray
-    history: deque                 # u slices going back exactly h
+    history: deque                 # u_{n-N} .. u_n, N + 1 slices
     weights: np.ndarray            # discrete kernel, unit sum
-    pad: int                       # convolution half-width in cells
-    dt: float
-    n_delay: int                   # h / dt (0 means no delay)
+    s: np.ndarray
+    pa: np.ndarray
+    pb: np.ndarray
+    forcing: np.ndarray
+    reflect: np.ndarray            # mirror ghosts, for S, Pa and Pb
+    edge: np.ndarray               # edge replication, for K
+    dt: float                      # the macro step Delta
+    n_delay: int                   # N = h / Delta (0 means no delay)
     t: float = 0.0
     clamp_events: int = 0
 
@@ -143,50 +173,72 @@ class SimResult:
 
 
 def resolve_dt(cfg: SimConfig, h: float) -> tuple[float, int]:
-    """Pick the time step: stability-limited, then snapped to divide h."""
-    dt0 = _STABILITY * cfg.dx * cfg.dx
+    """Pick the macro step Delta = 0.1 snapped to divide h; return (Delta, N)."""
     if h <= 0.0:
-        return dt0, 0
-    n = max(1, math.ceil(h / dt0 - 1e-12))
+        return _MACRO_STEP, 0
+    n = max(1, math.ceil(h / _MACRO_STEP - 1e-12))
     return h / n, n
+
+
+def _stencils(dt: float, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S, Pa and Pb of a macro step dt: m positive explicit substeps folded."""
+    m = math.ceil(dt / (_STABILITY * dx * dx) - 1e-12)
+    sub = dt / m
+    r = sub / (dx * dx)
+    s1 = np.array([r, 1.0 - sub - 2.0 * r, r])
+    power = np.zeros(2 * m + 1)    # s1^{*j}, centred; fits until j = m
+    power[m] = 1.0
+    pa = np.zeros_like(power)
+    pb = np.zeros_like(power)
+    for j in range(m):             # s1^{*j} carries the forcing of substep m-1-j
+        theta = (m - j - 0.5) / m
+        pa += (1.0 - theta) * power
+        pb += theta * power
+        power = np.convolve(power, s1, mode="same")
+    return power, sub * pa, sub * pb
+
+
+def _convolve(stencil: np.ndarray, v: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Apply a centred stencil directly to v, padded by the index map gather."""
+    if stencil.size == 1:
+        return stencil[0] * v
+    return np.convolve(v[gather], stencil, mode="valid")
 
 
 def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
                g: BirthFunction) -> SimState:
-    """Allocate the grid, discretize the kernel, pre-fill the history."""
-    nx = int(round(cfg.length / cfg.dx)) + 1
-    x = np.arange(nx) * cfg.dx
-    u0 = np.where(x <= cfg.init_width, float(g.equilibrium), 0.0)
+    """Allocate the grid, build the stencils, pre-fill the history."""
+    cells = np.arange(int(round(cfg.length / cfg.dx)) + 1)
+    u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
     dt, n_delay = resolve_dt(cfg, params.h)
-    offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
-    pad = int(offsets[-1])
+    s, pa, pb = _stencils(dt, cfg.dx)
+    _, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
+    reflect = np.pad(cells, s.size // 2, mode="reflect")
+    edge = np.pad(cells, weights.size // 2, mode="edge")
     history = deque(u0.copy() for _ in range(n_delay))
-    return SimState(u=u0, history=history, weights=weights, pad=pad,
-                    dt=dt, n_delay=n_delay)
+    history.append(u0)
+    return SimState(u=u0, history=history, weights=weights, s=s, pa=pa, pb=pb,
+                    forcing=_convolve(weights, g(history[0]), edge),
+                    reflect=reflect, edge=edge, dt=dt, n_delay=n_delay)
 
 
-def step(state: SimState, cfg: SimConfig, g: BirthFunction) -> SimState:
-    """Advance one explicit Euler step in place; returns the same state.
+def step(state: SimState, g: BirthFunction) -> SimState:
+    """Advance one macro step in place; returns the same state.
 
-    The delayed slice is the oldest history entry (the current field
-    when h = 0).  Boundary cells use mirror ghosts for the Laplacian
-    and edge replication for the convolution, both consistent with
-    zero flux.
+    u_{n+1} = S u_n + Pa F_n + Pb F_{n+1} with F_j = K * g(u_{j-N}).
+    With a delay, F_n is carried and F_{n+1} comes from the history;
+    without one, F_n is taken from u_n and F_{n+1} from the predictor
+    S u_n + (Pa + Pb) F_n.
     """
     u = state.u
-    delayed = state.history[0] if state.n_delay > 0 else u
-    birth = g(delayed)
-    if state.pad > 0:
-        padded = np.pad(birth, state.pad, mode="edge")
-        conv = np.convolve(padded, state.weights, mode="valid")
-    else:
-        conv = state.weights[0] * birth
-    lap = np.empty_like(u)
-    lap[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    lap[0] = 2.0 * (u[1] - u[0])
-    lap[-1] = 2.0 * (u[-2] - u[-1])
-    lap /= cfg.dx * cfg.dx
-    u_new = u + state.dt * (lap - u + conv)
+    delayed = state.n_delay > 0
+    forcing = state.forcing if delayed else _convolve(state.weights, g(u), state.edge)
+    base = (_convolve(state.s, u, state.reflect)
+            + _convolve(state.pa, forcing, state.reflect))
+    ahead = (state.history[1] if delayed
+             else base + _convolve(state.pb, forcing, state.reflect))
+    state.forcing = _convolve(state.weights, g(ahead), state.edge)
+    u_new = base + _convolve(state.pb, state.forcing, state.reflect)
     negatives = int(np.count_nonzero(u_new < 0.0))
     if negatives:
         state.clamp_events += negatives
@@ -194,11 +246,9 @@ def step(state: SimState, cfg: SimConfig, g: BirthFunction) -> SimState:
     top = float(u_new.max())
     if top > 10.0 * g.equilibrium:
         raise UnstableSimulationError(
-            f"field reached {top:.3g} (> 10x equilibrium) at t={state.t:.3g}; "
-            "time step too large for this configuration")
-    if state.n_delay > 0:
-        state.history.append(u_new)
-        state.history.popleft()
+            f"field reached {top:.3g} (> 10x equilibrium) at t={state.t:.3g}")
+    state.history.append(u_new)
+    state.history.popleft()
     state.u = u_new
     state.t += state.dt
     return state
@@ -247,7 +297,8 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
             f"birth function slope {g.p:g} disagrees with params.p {params.p:g}")
     state = make_state(cfg, params, kernel, g)
     theta = cfg.threshold_frac * g.equilibrium
-    reach = max(cfg.kernel_half_width, state.pad * cfg.dx)
+    reach = max(cfg.kernel_half_width,
+                max(state.weights.size, state.s.size) // 2 * cfg.dx)
     stop_x = cfg.length - reach - 2.0 * cfg.dx
     times = [0.0]
     fronts = [front_position(state.u, cfg.dx, theta)]
@@ -257,7 +308,7 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     n_steps = int(math.ceil(cfg.t_end / state.dt))
     hit_boundary = False
     for _ in range(n_steps):
-        step(state, cfg, g)
+        step(state, g)
         xf = front_position(state.u, cfg.dx, theta)
         times.append(state.t)
         fronts.append(xf)

@@ -17,7 +17,13 @@ from wavespeed.front_sim import (
     run,
     step,
 )
-from wavespeed.kernels import DiracKernel, GaussianKernel, TwoPointKernel
+from wavespeed.kernels import (
+    DiracKernel,
+    GaussianKernel,
+    TabulatedKernel,
+    TwoPointKernel,
+    UniformKernel,
+)
 from wavespeed.solver import solve_critical
 
 
@@ -77,23 +83,39 @@ class TestResolveDt:
     def test_delay_is_integer_multiple(self):
         cfg = SimConfig(length=50.0, dx=0.1)
         dt, n_delay = resolve_dt(cfg, h=1.0)
-        assert n_delay == math.ceil(1.0 / (0.45 * 0.01))
+        assert n_delay == 10
+        assert abs(dt - 0.1) < 1e-15
         assert abs(dt * n_delay - 1.0) < 1e-12
-        assert dt <= 0.45 * 0.01 + 1e-15
 
     def test_no_delay(self):
         cfg = SimConfig(length=50.0, dx=0.1)
-        dt, n_delay = resolve_dt(cfg, h=0.0)
-        assert n_delay == 0
-        assert dt == 0.45 * 0.01
+        assert resolve_dt(cfg, h=0.0) == (0.1, 0)
 
     def test_coarse_grid_snaps_to_delay(self):
-        # dx = 0.2 allows dt <= 0.018, so h = 0.2 takes 12 steps of 1/60
-        cfg = SimConfig(length=50.0, dx=0.2)
-        dt, n_delay = resolve_dt(cfg, h=0.2)
-        assert n_delay == 12
-        assert abs(dt - 1.0 / 60.0) < 1e-15
-        assert dt <= 0.45 * 0.2 * 0.2
+        # h = 0.25 is not a multiple of 0.1: it takes 3 steps of 1/12,
+        # whatever the grid (the substeps live inside the stencils)
+        for dx in (0.1, 0.2):
+            dt, n_delay = resolve_dt(SimConfig(length=50.0, dx=dx), h=0.25)
+            assert n_delay == 3
+            assert abs(dt - 1.0 / 12.0) < 1e-15
+
+
+class TestStencils:
+    def test_nonnegative_with_unit_sum(self):
+        # S, Pa and Pb are positive combinations of s1 powers whose
+        # weights add up to exactly 1, so equilibria cannot drift
+        g = BirthFunction.nicholson(2.0)
+        for dx in (0.1, 0.2, 0.5):
+            for h in (0.0, 0.25, 1.0):
+                cfg = SimConfig(length=50.0, dx=dx)
+                state = make_state(cfg, ModelParams(p=2.0, h=h),
+                                   DiracKernel(), g)
+                m = math.ceil(state.dt / (0.45 * dx * dx) - 1e-12)
+                for stencil in (state.s, state.pa, state.pb):
+                    assert stencil.size == 2 * m + 1
+                    assert np.all(stencil >= 0.0)
+                total = math.fsum(np.concatenate([state.s, state.pa, state.pb]))
+                assert abs(total - 1.0) <= 1e-15, (dx, h, total)
 
 
 class TestFrontPosition:
@@ -135,12 +157,38 @@ class TestStepping:
         params = ModelParams(p=2.0, h=0.2)
         g = BirthFunction.nicholson(2.0)
         state = make_state(cfg, params, DiracKernel(), g)
-        assert state.n_delay == len(state.history)
-        depth = state.n_delay
+        # u_{n-N} .. u_n: the delayed slice and the current field both
+        assert len(state.history) == state.n_delay + 1 == 3
+        assert state.history[-1] is state.u
         for _ in range(3):
-            step(state, cfg, g)
-        assert len(state.history) == depth
+            step(state, g)
+        assert len(state.history) == state.n_delay + 1
+        assert state.history[-1] is state.u
         assert state.t == pytest.approx(3 * state.dt)
+
+    def test_forcing_reads_slice_n_minus_delay(self):
+        # F_n = K * g(u_{n-N}): the n-th slice handed to g (make_state
+        # builds F_0) must be u_{n-N}, with u_j = u_0 for j < 0
+        seen = []
+
+        class Spy(BirthFunction):
+            def __call__(self, u):
+                seen.append(np.array(u, copy=True))
+                return super().__call__(u)
+
+        cfg = SimConfig(length=20.0, dx=0.5, t_end=1.0, init_width=5.0)
+        params = ModelParams(p=2.0, h=0.2)
+        g = Spy.nicholson(2.0)
+        state = make_state(cfg, params, GaussianKernel(1.0), g)
+        n_delay = state.n_delay
+        assert n_delay == 2
+        fields = [state.u.copy()]
+        for _ in range(6):
+            step(state, g)
+            fields.append(state.u.copy())
+        assert len(seen) == 7
+        for n, slice_n in enumerate(seen):
+            assert np.array_equal(slice_n, fields[max(0, n - n_delay)]), n
 
     def test_equilibrium_is_stationary(self):
         # a flat profile at the positive equilibrium must not move
@@ -150,7 +198,7 @@ class TestStepping:
         state = make_state(cfg, params, DiracKernel(), g)
         state.u[:] = g.equilibrium
         for _ in range(10):
-            step(state, cfg, g)
+            step(state, g)
         assert np.max(np.abs(state.u - g.equilibrium)) < 1e-12
 
     def test_instability_guard_trips(self):
@@ -161,7 +209,7 @@ class TestStepping:
         state.u[:] = 100.0  # far above 10x equilibrium
         with pytest.raises(UnstableSimulationError):
             for _ in range(5):
-                step(state, cfg, g)
+                step(state, g)
 
 
 class TestRun:
@@ -176,6 +224,7 @@ class TestRun:
         assert not result.hit_boundary
         assert result.reference_speed == 2.0
         assert result.dx == 0.2
+        assert result.clamp_events == 0
         assert len(result.times) == len(result.front)
         # front must advance overall
         assert result.front[-1] > result.front[0] + 5.0
@@ -188,6 +237,21 @@ class TestRun:
                      BirthFunction.nicholson(2.0))
         assert result.speed > 0.5
         assert result.fit_residual < 1.0
+        assert result.clamp_events == 0
+
+    def test_one_step_delay_differs_from_no_delay(self):
+        # h = 0.1 is exactly one step, the same step as at h = 0; the
+        # delayed front must lag (a history one slice short would read the
+        # current field, which is no delay at all)
+        cfg = SimConfig(length=40.0, dx=0.1, t_end=5.0, init_width=5.0,
+                        kernel_half_width=3.0)
+        g = BirthFunction.nicholson(2.0)
+        delayed = run(cfg, ModelParams(p=2.0, h=0.1), GaussianKernel(1.0), g)
+        now = run(cfg, ModelParams(p=2.0, h=0.0), GaussianKernel(1.0), g)
+        assert len(delayed.front) == len(now.front)
+        assert delayed.front != now.front
+        assert delayed.front[-1] < now.front[-1]
+        assert delayed.clamp_events == now.clamp_events == 0
 
     def test_two_point_kernel_front(self):
         # the atom kernel's 21-tap discretization drives a front at
@@ -199,6 +263,7 @@ class TestRun:
                      kernel, BirthFunction.nicholson(2.0))
         assert not result.hit_boundary
         assert abs(result.speed - c_star) < 0.1 * c_star
+        assert result.clamp_events == 0
 
     def test_boundary_stop(self):
         # a domain too short for the horizon must stop early and say so
@@ -209,6 +274,7 @@ class TestRun:
                      BirthFunction.nicholson(2.0))
         assert result.hit_boundary
         assert result.times[-1] < 50.0
+        assert result.clamp_events == 0
 
     def test_atom_stencil_sets_stop_line(self):
         # two-point a=8 on dx=0.2 convolves with offsets -40..40 (8 units)
@@ -221,9 +287,74 @@ class TestRun:
                      BirthFunction.nicholson(2.0))
         assert result.hit_boundary
         assert result.front[-2] < cfg.length - 8.0
+        assert result.clamp_events == 0
 
     def test_rejects_mismatched_slope(self):
         cfg = SimConfig(length=30.0, dx=0.2, t_end=5.0)
         params = ModelParams(p=2.0, h=0.0)
         with pytest.raises(DomainError):
             run(cfg, params, DiracKernel(), BirthFunction.nicholson(3.0))
+
+
+def _scheme_speed(cfg, params, kernel):
+    """The stepper's own linear spreading speed c*_Delta (Weinberger).
+
+    Inserting u ~ rho^n e^{-lam x} into u_{n+1} = S u_n + Pa F_n +
+    Pb F_{n+1}, with F_j linearized to p (K * u_{j-N}), makes rho the
+    largest real root of rho^{N+1} = S^ rho^N + p M (Pa^ + Pb^ rho);
+    at N = 0 the predictor gives rho in closed form.  Then c*_Delta =
+    min over lam of ln(rho)/(lam Delta).
+    """
+    state = make_state(cfg, params, kernel, BirthFunction.nicholson(params.p))
+    offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
+    half = state.s.size // 2
+    taps = np.arange(-half, half + 1) * cfg.dx
+    n = state.n_delay
+
+    def rho(lam):
+        s_hat, a_hat, b_hat = (float(np.sum(st * np.exp(lam * taps)))
+                               for st in (state.s, state.pa, state.pb))
+        pm = params.p * float(np.sum(weights * np.exp(lam * offsets * cfg.dx)))
+        if n == 0:
+            return s_hat + pm * a_hat + pm * b_hat * (s_hat + pm * (a_hat + b_hat))
+        coeffs = np.zeros(n + 2)        # rho^{N+1} down to rho^0
+        coeffs[0] = 1.0
+        coeffs[1] -= s_hat
+        coeffs[n] -= pm * b_hat
+        coeffs[n + 1] -= pm * a_hat
+        return max(r.real for r in np.roots(coeffs)
+                   if abs(r.imag) <= 1e-9 * abs(r))
+
+    def speed(lam):
+        return math.log(rho(lam)) / (lam * state.dt)
+
+    grid = np.linspace(0.05, 3.0, 60)
+    i = int(np.argmin([speed(lam) for lam in grid]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-9:
+        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if speed(a) < speed(b):
+            hi = b
+        else:
+            lo = a
+    return speed(0.5 * (lo + hi))
+
+
+class TestDispersionOracle:
+    @pytest.mark.parametrize("kernel, h", [
+        (DiracKernel(), 0.0),          # A9, local
+        (GaussianKernel(1.0), 1.0),    # A9, nonlocal
+        (UniformKernel(1.0), 1.0),
+    ])
+    def test_scheme_speed_is_near_solver_speed(self, kernel, h):
+        # compared with c* of the kernel the grid actually convolves with
+        # (its sampled atoms): for Dirac and Gaussian that is c* itself,
+        # while sampling the box at 21 points lifts uniform's c* by 0.7 %
+        cfg = SimConfig(length=400.0, dx=0.1, t_end=100.0)
+        params = ModelParams(p=2.0, h=h)
+        offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
+        sampled = TabulatedKernel.from_atoms(offsets * cfg.dx, weights)
+        c_grid = solve_critical(params, sampled).c_star
+        c_delta = _scheme_speed(cfg, params, kernel)
+        assert abs(c_delta / c_grid - 1.0) <= 0.0075
