@@ -11,12 +11,16 @@ monotone 1-D problems instead of a 2-D Newton iteration:
   * outer: eps -> min_z psi(z, eps) is strictly increasing (psi_eps > 0
     for z > 0), and the explicit bound window [1/upper^2, 1/lower^2]
     from the bounds module brackets its root, so solve_critical bisects
-    on its sign.  Each midpoint's sign is certified from one psi_eval at
-    a warm z (the enclosure psi - psi_z^2/(4*eps) <= min psi <= psi),
-    with a cold min_psi only when that cannot decide, so the decisions
-    and the result equal those of a cold min_psi at every midpoint.  The
-    window is inflated by one part in 1e9 because for the point-mass
-    kernel at h in {0, 1} the window degenerates to a point.
+    on its sign.  A few safeguarded Newton steps on eps (slope psi_eps)
+    first certify a below point a and an above point b a few 1e-13
+    apart around the root, using the enclosure psi - psi_z^2/(4*eps) <=
+    min psi <= psi at one psi_eval each.  The bisection replays every
+    midpoint outside (a, b) without evaluating; one inside takes its
+    sign from the same enclosure at a warm z, with a cold min_psi only
+    when that cannot decide.  So the decisions and the result equal
+    those of a cold min_psi at every midpoint.  The window is inflated
+    by one part in 1e9 because for the point-mass kernel at h in {0, 1}
+    the window degenerates to a point.
 
 The tolerances are fixed (DEFAULT_CONFIG): eps to 1e-12 relative,
 |psi_z| <= 1e-13 inside min_psi, and |psi|, |psi_z| <= 1e-9 at eps0.
@@ -40,8 +44,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import bounds as _bounds
-from .charfun import (CriticalPoint, G_value, ModelParams, critical_point,
-                      psi_eval)
+from .charfun import (CriticalPoint, G_value, ModelParams, PsiEval,
+                      critical_point, psi_eval)
 from .errors import (BracketError, ConvergenceError, CubicRootError,
                      DegenerateCubicError, DomainError, MgfOverflowError,
                      NumericalError)
@@ -191,52 +195,66 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
 # min_psi decides instead
 _SIGN_ULPS = 64
 _SIGN_TRIES = 3
+# psi_eval calls allowed to _certified_bracket's Newton iteration on eps
+_BRACKET_TRIES = 16
+
+
+def _enclosed_sign(ev: PsiEval, z: float,
+                   eps: float) -> tuple[Optional[bool], float]:
+    """Sign of a cold min_psi(eps)[1] > 0.0 from one evaluation at z.
+
+    psi_zz >= 2*eps, so one evaluation at z > 0 encloses the minimum:
+    psi - psi_z^2/(4*eps) <= min_z psi <= psi.  A sign is taken only when
+    the enclosure clears tau, a margin for the rounding of psi at z and
+    at the minimizer (within |psi_z|/(2*eps) of z), so it is the sign of
+    the value a cold min_psi would return.  Returns (sign or None, tau).
+    """
+    reach = abs(ev.dz) / (2.0 * eps)
+    tau = (_SIGN_ULPS * 2.220446049250313e-16
+           * (1.0 + z + eps * z * z + abs(ev.value) + reach))
+    # a cold min_psi stops where |psi_z| <= inner_tol, which leaves its
+    # value up to inner_tol^2/(4*eps) above the minimum
+    if ev.value < -tau - DEFAULT_CONFIG.inner_tol ** 2 / (4.0 * eps):
+        return False, tau
+    if ev.value - ev.dz * ev.dz / (4.0 * eps) > tau:
+        return True, tau
+    return None, tau
+
+
+def _newton_z(ev: PsiEval, z: float) -> float:
+    """One Newton step of z towards the minimizer, kept positive."""
+    step = z - ev.dz / ev.dzz
+    return step if math.isfinite(step) and step > 0.0 else 0.5 * z
 
 
 def _min_psi_positive(eps: float, z: float, params: ModelParams,
                       kernel: Kernel) -> tuple[bool, float]:
     """Decide min_psi(eps)[1] > 0.0 from a warm z; return it and the next z.
 
-    psi_zz >= 2*eps, so one evaluation at z > 0 encloses the minimum:
-    psi - psi_z^2/(4*eps) <= min_z psi <= psi.  A sign is taken only when
-    the enclosure clears tau, a margin for the rounding of psi at z and
-    at the minimizer (within |psi_z|/(2*eps) of z), so it is the sign of
-    the value a cold min_psi would return.  Each evaluation moves z one
-    Newton step towards the minimizer, which also warms the next midpoint.
+    The sign comes from the enclosure of _enclosed_sign.  Each evaluation
+    moves z one Newton step towards the minimizer, which also warms the
+    next midpoint.
     """
     for _ in range(_SIGN_TRIES):
         try:
             ev = psi_eval(z, eps, params, kernel)
         except MgfOverflowError:
             break
-        reach = abs(ev.dz) / (2.0 * eps)
-        tau = (_SIGN_ULPS * 2.220446049250313e-16
-               * (1.0 + z + eps * z * z + abs(ev.value) + reach))
-        step = z - ev.dz / ev.dzz
-        z = step if math.isfinite(step) and step > 0.0 else 0.5 * z
-        # a cold min_psi stops where |psi_z| <= inner_tol, which leaves
-        # its value up to inner_tol^2/(4*eps) above the minimum
-        if ev.value < -tau - DEFAULT_CONFIG.inner_tol ** 2 / (4.0 * eps):
-            return False, z
-        if ev.value - ev.dz * ev.dz / (4.0 * eps) > tau:
-            return True, z
+        above, _ = _enclosed_sign(ev, z, eps)
+        z = _newton_z(ev, z)
+        if above is not None:
+            return above, z
     z, f = min_psi(eps, params, kernel)
     return f > 0.0, z
 
 
-def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
-    """Direct double-root solve by bisection on eps -> psi_min(eps).
+def _eps_bracket(params: ModelParams,
+                 kernel: Kernel) -> tuple[float, float, float]:
+    """Cold eps bracket (lo, z_lo, hi): min_psi(lo) < 0 < min_psi(hi).
 
-    The initial eps bracket comes from the explicit bound window; the
-    window is guaranteed (strictly for spread-out kernels, degenerately
-    for the point mass) to contain 1/c*^2, and psi_min is strictly
-    increasing in eps, so bisection cannot fail.  The bracket ends and
-    eps0 get a cold min_psi; a midpoint's sign comes from a warm Newton
-    iterate z whenever the enclosure of psi_min at z clears rounding,
-    and from a cold min_psi otherwise, so every decision equals the cold
-    one (see _min_psi_positive).  The returned point carries residuals
-    and the positivity certificate (psi_zz, psi_eps); residuals above
-    1e-9 raise ConvergenceError.
+    It starts from the explicit bound window, inflated by one part in
+    1e9, and halves lo or doubles hi (up to 8 times) until the cold signs
+    straddle 0; z_lo is the cold minimizer at lo.
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
@@ -246,32 +264,113 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
     eps_lo = (1.0 - 1e-9) / (upper * upper)
     eps_hi = (1.0 + 1e-9) / (lower * lower)
 
-    f_lo = min_psi(eps_lo, params, kernel)[1]
+    z_lo, f_lo = min_psi(eps_lo, params, kernel)
     for _ in range(8):
         if f_lo < 0.0:
             break
         eps_lo *= 0.5
-        f_lo = min_psi(eps_lo, params, kernel)[1]
-    z, f_hi = min_psi(eps_hi, params, kernel)
+        z_lo, f_lo = min_psi(eps_lo, params, kernel)
+    f_hi = min_psi(eps_hi, params, kernel)[1]
     for _ in range(8):
         if f_hi > 0.0:
             break
         eps_hi *= 2.0
-        z, f_hi = min_psi(eps_hi, params, kernel)
+        f_hi = min_psi(eps_hi, params, kernel)[1]
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(
             f"psi_min has no sign change over eps in [{eps_lo:g}, {eps_hi:g}]")
+    return eps_lo, z_lo, eps_hi
 
-    lo, hi = eps_lo, eps_hi
+
+def _certified_bracket(lo: float, hi: float, z: float, params: ModelParams,
+                       kernel: Kernel) -> tuple[float, float, float]:
+    """Certify a below point a and an above point b near eps0; return (a, b, z).
+
+    Safeguarded Newton on eps -> psi_min(eps), started at lo with z its
+    cold minimizer.  Each evaluation estimates psi_min ~ psi -
+    psi_z^2/(2*psi_zz), with slope psi_eps, and moves z one Newton step.
+    Where the evaluation's enclosure clears rounding (_enclosed_sign),
+    eps becomes a (a cold min_psi(eps)[1] < 0) or b (> 0); psi_min
+    increases in eps, so every eps <= a is below and every eps >= b
+    above.  While z is too far off for that estimate (the psi_z^2 term
+    outweighs psi) the next evaluation stays at eps.  Otherwise eps aims
+    a band past the Newton root, on the side whose certified end is
+    farther from it, where psi clears tau twice over; an iterate outside
+    (a, b) bisects instead.  w = sqrt(eps)*z, which moves little with
+    eps, follows the secant of its last two estimates.  The ends only
+    ever shrink from (lo, hi), which is itself a valid answer.
+    """
+    a, b = lo, hi
+    eps = eps_prev = lo
+    w_prev = math.sqrt(lo) * z
+    for _ in range(_BRACKET_TRIES):
+        try:
+            ev = psi_eval(z, eps, params, kernel)
+        except MgfOverflowError:
+            break
+        sign, tau = _enclosed_sign(ev, z, eps)
+        if sign is True:
+            b = eps
+        elif sign is False:
+            a = eps
+        if not (ev.dzz > 0.0 and ev.deps > 0.0):
+            break
+        z = _newton_z(ev, z)
+        drop = 0.5 * ev.dz * ev.dz / ev.dzz
+        band = (2.0 * (tau + DEFAULT_CONFIG.inner_tol ** 2 / (4.0 * eps))
+                / ev.deps)
+        if b - a <= max(DEFAULT_CONFIG.eps_rel_tol * b, 4.0 * band):
+            break
+        if drop > 0.5 * abs(ev.value):
+            continue
+        root = eps - (ev.value - drop) / ev.deps
+        nxt = root + band if b - root > root - a else root - band
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+        w = math.sqrt(eps) * z
+        dw = (w - w_prev) / (eps - eps_prev) if eps != eps_prev else 0.0
+        guess = w + dw * (nxt - eps)
+        eps_prev, w_prev, eps = eps, w, nxt
+        if not (math.isfinite(guess) and guess > 0.0):
+            guess = w
+        z = guess / math.sqrt(eps)
+    return a, b, z
+
+
+def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
+    """Direct double-root solve by bisection on eps -> psi_min(eps).
+
+    The initial eps bracket comes from the explicit bound window; the
+    window is guaranteed (strictly for spread-out kernels, degenerately
+    for the point mass) to contain 1/c*^2, and psi_min is strictly
+    increasing in eps, so bisection cannot fail.  The bracket ends and
+    eps0 get a cold min_psi.  A few Newton steps on eps then certify a
+    below point a and an above point b a few 1e-13 (relative) either side
+    of eps0 (_certified_bracket), and the bisection replays every
+    midpoint <= a as below and >= b as above with no evaluation.  A
+    midpoint inside (a, b) takes its sign from a warm Newton iterate z
+    whenever the enclosure of psi_min at z clears rounding, and from a
+    cold min_psi otherwise.  Every decision equals the cold one, so the
+    result is that of bisection with a cold min_psi at every midpoint.
+    The returned point carries residuals and the positivity certificate
+    (psi_zz, psi_eps); residuals above 1e-9 raise ConvergenceError.
+    """
+    lo, z_lo, hi = _eps_bracket(params, kernel)
+    below, above, z = _certified_bracket(lo, hi, z_lo, params, kernel)
     for _ in range(DEFAULT_CONFIG.max_bisect):
         if hi - lo <= DEFAULT_CONFIG.eps_rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        above, z = _min_psi_positive(mid, z, params, kernel)
-        if above:
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
             hi = mid
         else:
-            lo = mid
+            up, z = _min_psi_positive(mid, z, params, kernel)
+            if up:
+                hi = mid
+            else:
+                lo = mid
     else:
         raise ConvergenceError(
             f"eps bisection did not reach rel tol {DEFAULT_CONFIG.eps_rel_tol:g} "

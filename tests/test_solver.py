@@ -93,9 +93,15 @@ def log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
+FAMILIES = ("gaussian", "uniform", "twopoint", "dirac", "gaussian-twin",
+            "uniform-twin")
+
+
 def make_kernel(family, param):
     if family == "gaussian-twin":
         return tabulated_twin(GaussianKernel(param))
+    if family == "uniform-twin":
+        return tabulated_twin(UniformKernel(param))
     if family == "dirac":
         return DiracKernel()
     return {"gaussian": GaussianKernel, "uniform": UniformKernel,
@@ -207,8 +213,7 @@ class TestSolveCritical:
         assert_certified(cp, params, kernel)
         assert cp == _bisect_reference(params, kernel)
 
-    @pytest.mark.parametrize("family", ("gaussian", "uniform", "twopoint",
-                                        "dirac", "gaussian-twin"))
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_bit_identical_to_plain_bisection(self, family):
         # warm midpoint signs must repeat every cold decision exactly
         rng = random.Random(f"bisect-{family}")
@@ -219,11 +224,20 @@ class TestSolveCritical:
             assert solve_critical(params, kernel) == \
                 _bisect_reference(params, kernel), (params, kernel)
 
-    @pytest.mark.parametrize("kernel", (GAUSS1, UniformKernel(1.0)))
-    def test_midpoint_signs_need_few_evaluations(self, kernel, monkeypatch):
-        # with a cold min_psi at each of the ~40 midpoints these solves
-        # take 221 (Gaussian) and 252 (uniform) psi_eval calls; a warm z
-        # needs about one per midpoint
+    @pytest.mark.parametrize("kernel, h, budget", [
+        pytest.param(GAUSS1, 1.0, 28, id="kernel0"),
+        pytest.param(UniformKernel(1.0), 1.0, 30, id="kernel1"),
+        pytest.param(GAUSS1, 50.0, 58, id="gauss-h50"),
+        pytest.param(DiracKernel(), 1.0, 34, id="dirac-h1"),
+    ])
+    def test_midpoint_signs_need_few_evaluations(self, kernel, h, budget,
+                                                 monkeypatch):
+        # a cold min_psi at each of the ~40 midpoints took 221 (Gaussian,
+        # h=1) and 252 (uniform) psi_eval calls, and a warm z at each 58,
+        # 57, 86 (Gaussian, h=50) and 37 (Dirac).  With the replay these
+        # take 24, 26, 53 and 30: the three cold min_psi calls (bracket
+        # ends and eps0), a few Newton steps on eps and the one or two
+        # midpoints inside the certified bracket
         calls = []
 
         def counted(*args):
@@ -231,8 +245,8 @@ class TestSolveCritical:
             return psi_eval(*args)
 
         monkeypatch.setattr(solver, "psi_eval", counted)
-        solve_critical(ModelParams(p=2.0, h=1.0), kernel)
-        assert len(calls) <= 80
+        solve_critical(ModelParams(p=2.0, h=h), kernel)
+        assert len(calls) <= budget
 
     @pytest.mark.parametrize("kernel, p, h", [
         # min_psi meets psi_z = nan here; taken as negative, it moved the
@@ -246,7 +260,9 @@ class TestSolveCritical:
     ])
     def test_certifies_extreme_inputs(self, kernel, p, h):
         params = ModelParams(p=p, h=h)
-        assert_certified(solve_critical(params, kernel), params, kernel)
+        cp = solve_critical(params, kernel)
+        assert_certified(cp, params, kernel)
+        assert cp == _bisect_reference(params, kernel)
 
     def test_certificate_fields(self):
         cp = solve_critical(ModelParams(p=3.0, h=2.0), GAUSS1)
@@ -256,6 +272,37 @@ class TestSolveCritical:
         assert cp.psi_eps > 0.0
         assert abs(cp.res_ew) <= 1e-8
         assert abs(cp.res_eww) <= 1e-8
+
+
+def assert_cold_signs(params, kernel):
+    # solve_critical replays every midpoint <= below as below and every
+    # midpoint >= above as above; a cold min_psi must agree at both ends
+    lo, z_lo, hi = solver._eps_bracket(params, kernel)
+    below, above, _ = solver._certified_bracket(lo, hi, z_lo, params, kernel)
+    assert lo <= below < above <= hi
+    assert min_psi(below, params, kernel)[1] < 0.0
+    assert min_psi(above, params, kernel)[1] > 0.0
+    return (above - below) / above
+
+
+class TestCertifiedBracket:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_ends_take_the_cold_signs(self, family):
+        rng = random.Random(f"replay-{family}")
+        widths = []
+        for _ in range(32):
+            kernel = make_kernel(family, log_uniform(rng, 0.1, 5.0))
+            h = 0.0 if rng.random() < 0.1 else log_uniform(rng, 1e-3, 5.0)
+            params = ModelParams(p=1.0 + log_uniform(rng, 1e-2, 10.0), h=h)
+            widths.append(assert_cold_signs(params, kernel))
+        # and narrow enough that the bisection replays all but a few
+        # midpoints (it stops at a relative width of 1e-12)
+        assert sum(w < 1e-11 for w in widths) >= 30, widths
+
+    @pytest.mark.parametrize("h", (0.0, 1.0))
+    @pytest.mark.parametrize("tag", ("gauss", "uniform", "twopoint"))
+    def test_barely_supercritical_ends(self, tag, h):
+        assert_cold_signs(ModelParams(p=1.0 + 1e-9, h=h), kernel_for(tag))
 
 
 class TestSolveIvpRho0:
