@@ -27,8 +27,9 @@ Fixed choices, none of them settable:
   * m = ceil(Delta/(0.45*dx^2)) keeps s1, and so S, Pa and Pb,
     nonnegative; their weights sum to 1, so equilibria are exact and
     clamping at zero stays a no-op counter.  Every operator is a
-    direct convolution (np.convolve), never an FFT, so the state ahead
-    of the front stays exactly zero.
+    direct convolution with those nonnegative weights, never an FFT,
+    so the state ahead of the front stays exactly zero; it runs as a
+    few small matrix products over blocks of 32 cells (_blocked).
   * S, Pa and Pb use reflect padding (mirror ghosts on every substep);
     K uses edge replication.  The history holds u_{n-N}..u_n (N + 1
     slices), pre-filled with the initial condition (constant history).
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .kernels import Kernel
 _MACRO_STEP = 0.1  # Delta before snapping to divide h
 _STABILITY = 0.45  # substep delta <= _STABILITY * dx^2
 _FIT_FRACTION = 0.4  # trailing fraction of the front trace that is fitted
+_BLOCK = 32  # output cells per row of a stencil's blocked product
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,9 @@ class SimState:
     s, pa and pb are the step's stencils S, Pa and Pb (2m+1 taps each,
     nonnegative, together of unit sum); forcing is F_n = K * g(u_{n-N}),
     carried so that each history slice meets K once (at N = 0, step
-    takes F_n from u_n instead).  reflect and edge index the grid
-    padded by m and by K's half-width cells.
+    takes F_n from u_n instead).  apply_s, apply_pa, apply_pb and
+    apply_k apply S, Pa, Pb (mirror ghosts) and K (edge replication)
+    as blocked products built once from these arrays (see _blocked).
     """
 
     u: np.ndarray
@@ -149,8 +152,10 @@ class SimState:
     pa: np.ndarray
     pb: np.ndarray
     forcing: np.ndarray
-    reflect: np.ndarray            # mirror ghosts, for S, Pa and Pb
-    edge: np.ndarray               # edge replication, for K
+    apply_s: Callable[[np.ndarray], np.ndarray]
+    apply_pa: Callable[[np.ndarray], np.ndarray]
+    apply_pb: Callable[[np.ndarray], np.ndarray]
+    apply_k: Callable[[np.ndarray], np.ndarray]
     dt: float                      # the macro step Delta
     n_delay: int                   # N = h / Delta (0 means no delay)
     t: float = 0.0
@@ -198,11 +203,38 @@ def _stencils(dt: float, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return power, sub * pa, sub * pb
 
 
-def _convolve(stencil: np.ndarray, v: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Apply a centred stencil directly to v, padded by the index map gather."""
+def _blocked(stencil: np.ndarray, gather: np.ndarray):
+    """Apply a centred stencil to v padded by the index map gather.
+
+    The valid convolution is a banded Toeplitz product.  Cut into
+    _BLOCK x _BLOCK blocks, every block row holds the same q blocks
+    T_0 .. T_{q-1} of T (T[r:r+L, r] = stencil[::-1], zero below), one
+    block column further right each row down; so with the padded input
+    read as rows of _BLOCK cells, the product is sum_j rows[j:j+nb] @ T_j,
+    q matrix products over views, with no copy of overlapping windows.
+    The index map is extended to whole blocks; the cells past n are
+    computed and dropped.  Each output is still a direct sum of
+    nonnegative weights times the field, so exact zeros stay zero.
+    """
     if stencil.size == 1:
-        return stencil[0] * v
-    return np.convolve(v[gather], stencil, mode="valid")
+        return lambda v: stencil[0] * v
+    n = gather.size - stencil.size + 1
+    blocks = -(-n // _BLOCK)
+    q = -(-(_BLOCK + stencil.size - 1) // _BLOCK)
+    index = np.pad(gather, (0, (blocks + q - 1) * _BLOCK - gather.size),
+                   mode="edge")
+    toeplitz = np.zeros((q * _BLOCK, _BLOCK))
+    for r in range(_BLOCK):
+        toeplitz[r:r + stencil.size, r] = stencil[::-1]
+    parts = toeplitz.reshape(q, _BLOCK, _BLOCK)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        rows = v[index].reshape(-1, _BLOCK)
+        out = rows[:blocks] @ parts[0]
+        for j in range(1, q):
+            out += rows[j:j + blocks] @ parts[j]
+        return out.ravel()[:n]
+    return apply
 
 
 def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
@@ -214,12 +246,14 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     s, pa, pb = _stencils(dt, cfg.dx)
     _, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
     reflect = np.pad(cells, s.size // 2, mode="reflect")
-    edge = np.pad(cells, weights.size // 2, mode="edge")
+    apply_k = _blocked(weights, np.pad(cells, weights.size // 2, mode="edge"))
     history = deque(u0.copy() for _ in range(n_delay))
     history.append(u0)
     return SimState(u=u0, history=history, weights=weights, s=s, pa=pa, pb=pb,
-                    forcing=_convolve(weights, g(history[0]), edge),
-                    reflect=reflect, edge=edge, dt=dt, n_delay=n_delay)
+                    forcing=apply_k(g(history[0])),
+                    apply_s=_blocked(s, reflect), apply_pa=_blocked(pa, reflect),
+                    apply_pb=_blocked(pb, reflect), apply_k=apply_k,
+                    dt=dt, n_delay=n_delay)
 
 
 def step(state: SimState, g: BirthFunction) -> SimState:
@@ -232,13 +266,11 @@ def step(state: SimState, g: BirthFunction) -> SimState:
     """
     u = state.u
     delayed = state.n_delay > 0
-    forcing = state.forcing if delayed else _convolve(state.weights, g(u), state.edge)
-    base = (_convolve(state.s, u, state.reflect)
-            + _convolve(state.pa, forcing, state.reflect))
-    ahead = (state.history[1] if delayed
-             else base + _convolve(state.pb, forcing, state.reflect))
-    state.forcing = _convolve(state.weights, g(ahead), state.edge)
-    u_new = base + _convolve(state.pb, state.forcing, state.reflect)
+    forcing = state.forcing if delayed else state.apply_k(g(u))
+    base = state.apply_s(u) + state.apply_pa(forcing)
+    ahead = state.history[1] if delayed else base + state.apply_pb(forcing)
+    state.forcing = state.apply_k(g(ahead))
+    u_new = base + state.apply_pb(state.forcing)
     negatives = int(np.count_nonzero(u_new < 0.0))
     if negatives:
         state.clamp_events += negatives

@@ -119,7 +119,8 @@ class Kernel(ABC):
 
         Returns (offsets, weights): integer grid offsets -W..W and
         nonnegative weights renormalized to unit sum.  The default
-        implementation samples the density; atom variants override.
+        implementation samples the density; atom variants and the box
+        override.
         """
         _require(dx > 0.0, f"dx must be positive, got {dx}")
         _require(half_width > 0.0, f"half_width must be positive, got {half_width}")
@@ -226,6 +227,24 @@ class UniformKernel(Kernel):
 
     def support_radius(self) -> float:
         return self.a
+
+    def discrete_weights(self, dx: float, half_width: float):
+        """Cell averages |[j dx - dx/2, j dx + dx/2] cap [-a, a]| / dx.
+
+        Sampling the density would keep both endpoints at full weight
+        (second moment 0.367 instead of 1/3 for a = 1 at dx 0.1); the
+        cell averages keep the box's moments to O(dx^2).  A box wider
+        than half_width is cut there.
+        """
+        _require(dx > 0.0, f"dx must be positive, got {dx}")
+        _require(half_width > 0.0, f"half_width must be positive, got {half_width}")
+        reach = min(self.a, half_width)
+        nw = int(math.ceil(reach / dx - 0.5 - 1e-9))
+        offsets = np.arange(-nw, nw + 1)
+        cells = offsets * dx
+        weights = (np.minimum(cells + 0.5 * dx, reach)
+                   - np.maximum(cells - 0.5 * dx, -reach))
+        return offsets, weights / weights.sum()
 
     def spec_string(self) -> str:
         return f"uniform:a={self.a:g}"

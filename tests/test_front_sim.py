@@ -1,15 +1,23 @@
 """Direct front simulation: configuration, stepping, and measurement."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavespeed
 from wavespeed.charfun import ModelParams
 from wavespeed.errors import DomainError, UnstableSimulationError
 from wavespeed.front_sim import (
     BirthFunction,
     SimConfig,
+    _BLOCK,
+    _blocked,
     fit_front_speed,
     front_position,
     make_state,
@@ -116,6 +124,43 @@ class TestStencils:
                     assert np.all(stencil >= 0.0)
                 total = math.fsum(np.concatenate([state.s, state.pa, state.pb]))
                 assert abs(total - 1.0) <= 1e-15, (dx, h, total)
+
+
+class TestBlockedOperator:
+    """The blocked products against a direct convolution kept only here."""
+
+    @staticmethod
+    def _check(stencil, n, mode, rng):
+        gather = np.pad(np.arange(n), stencil.size // 2, mode=mode)
+        # nonnegative, with exact zeros inside and a zero tail past 60 %
+        v = rng.random(n) * (rng.random(n) < 0.8) * (np.arange(n) < 0.6 * n)
+        ref = np.convolve(v[gather], stencil, mode="valid")
+        out = _blocked(stencil, gather)(v)
+        assert out.shape == ref.shape == (n,)
+        assert np.all(out >= 0.0)
+        assert np.array_equal(out == 0.0, ref == 0.0)
+        assert np.all(np.abs(out - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("kernel, dx, half_width", [
+        (DiracKernel(), 0.1, 10.0),          # 1 tap
+        (GaussianKernel(1.0), 0.1, 10.0),    # 201 taps
+        (TwoPointKernel(8.0), 0.2, 2.0),     # 81 taps, wider than S
+    ])
+    def test_kernel_matches_direct_convolution(self, kernel, dx, half_width):
+        rng = np.random.default_rng(7)
+        _, weights = kernel.discrete_weights(dx, half_width)
+        for n in (4001, 2001, 3 * _BLOCK, 5 * _BLOCK + 7):
+            self._check(weights, n, "edge", rng)
+
+    def test_stencils_match_direct_convolution(self):
+        rng = np.random.default_rng(8)
+        cfg = SimConfig(length=400.0, dx=0.1)
+        state = make_state(cfg, ModelParams(p=2.0, h=1.0), DiracKernel(),
+                           BirthFunction.nicholson(2.0))
+        for stencil in (state.s, state.pa, state.pb):
+            assert stencil.size == 47
+            for n in (4001, 2 * _BLOCK, 3 * _BLOCK + 1):
+                self._check(stencil, n, "reflect", rng)
 
 
 class TestFrontPosition:
@@ -296,6 +341,50 @@ class TestRun:
             run(cfg, params, DiracKernel(), BirthFunction.nicholson(3.0))
 
 
+class TestRegressionPin:
+    """Both A9 configurations at t_end = 10, recorded with the np.convolve
+    stepper; a change to the stepper's arithmetic must show itself here."""
+
+    @pytest.mark.parametrize("kernel, h, front, speed", [
+        (DiracKernel(), 0.0, 33.72618242020049, 1.7151500165398221),
+        (GaussianKernel(1.0), 1.0, 26.309598024298637, 0.8537835885167943),
+    ])
+    def test_front_and_speed(self, kernel, h, front, speed):
+        result = run(SimConfig(length=400.0, dx=0.1, t_end=10.0),
+                     ModelParams(p=2.0, h=h), kernel,
+                     BirthFunction.nicholson(2.0))
+        assert len(result.front) == 101
+        assert abs(result.front[-1] / front - 1.0) <= 1e-11
+        assert abs(result.speed / speed - 1.0) <= 1e-11
+
+
+_TRACE_SCRIPT = """
+import json
+from wavespeed.charfun import ModelParams
+from wavespeed.front_sim import BirthFunction, SimConfig, run
+from wavespeed.kernels import GaussianKernel
+result = run(SimConfig(length=400.0, dx=0.1, t_end=20.0),
+             ModelParams(p=2.0, h=1.0), GaussianKernel(1.0),
+             BirthFunction.nicholson(2.0))
+print(json.dumps([x.hex() for x in result.front]))
+"""
+
+
+def test_front_trace_independent_of_blas_threads():
+    # the blocked products go through BLAS; a one-thread run in a fresh
+    # process must repeat this process's trace bit for bit
+    result = run(SimConfig(length=400.0, dx=0.1, t_end=20.0),
+                 ModelParams(p=2.0, h=1.0), GaussianKernel(1.0),
+                 BirthFunction.nicholson(2.0))
+    src = str(Path(wavespeed.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _TRACE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == [x.hex() for x in result.front]
+
+
 def _scheme_speed(cfg, params, kernel):
     """The stepper's own linear spreading speed c*_Delta (Weinberger).
 
@@ -349,8 +438,8 @@ class TestDispersionOracle:
     ])
     def test_scheme_speed_is_near_solver_speed(self, kernel, h):
         # compared with c* of the kernel the grid actually convolves with
-        # (its sampled atoms): for Dirac and Gaussian that is c* itself,
-        # while sampling the box at 21 points lifts uniform's c* by 0.7 %
+        # (its discrete atoms): for Dirac and Gaussian that is c* itself,
+        # and the box's cell-averaged atoms lift uniform's c* by 0.04 %
         cfg = SimConfig(length=400.0, dx=0.1, t_end=100.0)
         params = ModelParams(p=2.0, h=h)
         offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
