@@ -355,6 +355,9 @@ class TabulatedKernel(Kernel):
         order = np.argsort(s)
         self._s = s[order]
         self._m = m[order] / total
+        self._ms = self._m * self._s          # weights of M'
+        self._mss = self._ms * self._s        # weights of M''
+        self._top = float(self._s[-1])
         self._label = label
 
     @classmethod
@@ -399,14 +402,14 @@ class TabulatedKernel(Kernel):
 
     def mgf_deriv(self, lam: float) -> float:
         self._guard(lam)
-        return float(np.dot(self._m * self._s, np.sinh(lam * self._s)))
+        return float(np.dot(self._ms, np.sinh(lam * self._s)))
 
     def mgf_deriv2(self, lam: float) -> float:
         self._guard(lam)
-        return float(np.dot(self._m * self._s * self._s, np.cosh(lam * self._s)))
+        return float(np.dot(self._mss, np.cosh(lam * self._s)))
 
     def _guard(self, lam: float) -> None:
-        top = abs(lam) * float(self._s[-1])
+        top = abs(lam) * self._top
         if top > _EXP_LIMIT:
             raise MgfOverflowError(f"cosh({top:.6g}) exceeds floating-point range")
 
@@ -414,7 +417,7 @@ class TabulatedKernel(Kernel):
         return float(np.dot(self._m, self._s * self._s))
 
     def support_radius(self) -> float:
-        return float(self._s[-1])
+        return self._top
 
     def discrete_weights(self, dx: float, half_width: float):
         return _fold_atoms(self._s, self._m, dx)

@@ -17,6 +17,7 @@ from wavespeed.front_sim import (
     BirthFunction,
     SimConfig,
     _BLOCK,
+    _FLUSH,
     _blocked,
     fit_front_speed,
     front_position,
@@ -33,6 +34,10 @@ from wavespeed.kernels import (
     UniformKernel,
 )
 from wavespeed.solver import solve_critical
+
+
+def _is_normal_or_zero(x):
+    return bool(np.all((x == 0.0) | (x >= np.finfo(float).tiny)))
 
 
 class TestBirthFunction:
@@ -161,6 +166,33 @@ class TestBlockedOperator:
             assert stencil.size == 47
             for n in (4001, 2 * _BLOCK, 3 * _BLOCK + 1):
                 self._check(stencil, n, "reflect", rng)
+
+    @pytest.mark.parametrize("operator", ["K", "S"])
+    def test_inputs_below_flush_read_as_zero(self, operator):
+        rng = np.random.default_rng(9)
+        state = make_state(SimConfig(length=400.0, dx=0.1),
+                           ModelParams(p=2.0, h=1.0), GaussianKernel(1.0),
+                           BirthFunction.nicholson(2.0))
+        stencil, mode = ((state.weights, "edge") if operator == "K"
+                         else (state.s, "reflect"))
+        n = 4001
+        gather = np.pad(np.arange(n), stencil.size // 2, mode=mode)
+        # a normal bulk, then a tail that decays through _FLUSH into the
+        # subnormals, with exact zeros and _FLUSH itself in between
+        v = rng.random(n) * (rng.random(n) < 0.9)
+        v[2000:] *= np.logspace(0.0, -330.0, n - 2000)
+        v[rng.integers(2000, n, 50)] = _FLUSH
+        below = v < _FLUSH
+        assert np.count_nonzero(below & (v > 0.0)) > 100
+        assert not _is_normal_or_zero(v)
+        kept = np.where(below, 0.0, v)
+        before = v.copy()
+        out = _blocked(stencil, gather)(v)
+        ref = np.convolve(kept[gather], stencil, mode="valid")
+        assert np.array_equal(v, before)            # the caller's field
+        assert np.array_equal(out == 0.0, ref == 0.0)
+        assert np.all(np.abs(out - ref) <= 1e-14 * ref)
+        assert _is_normal_or_zero(out)
 
 
 class TestFrontPosition:
@@ -356,6 +388,70 @@ class TestRegressionPin:
         assert len(result.front) == 101
         assert abs(result.front[-1] / front - 1.0) <= 1e-11
         assert abs(result.speed / speed - 1.0) <= 1e-11
+
+
+def test_a9_fields_hold_no_subnormal():
+    # the stencils' tails reach the right edge within a few hundred steps;
+    # without the flush, u and F held dozens of subnormals by step 300
+    g = BirthFunction.nicholson(2.0)
+    state = make_state(SimConfig(length=400.0, dx=0.1, t_end=30.0),
+                       ModelParams(p=2.0, h=1.0), GaussianKernel(1.0), g)
+    for n in range(300):
+        step(state, g)
+        assert _is_normal_or_zero(state.u), n
+        assert _is_normal_or_zero(state.forcing), n
+    # the tail ahead of the front still reaches down to the flush level
+    assert 0.0 < state.u[state.u > 0.0].min() < 2.0 ** -900
+
+
+class TestFlushPin:
+    """Both A9 front traces at t_end = 30, sampled at t = 0, 1, .., 30
+    and recorded as float hex before inputs below _FLUSH were read as
+    zero; a flush rule that moves one of these fronts by one ulp shows
+    here.  A flush at 1e-24 already moves the local trace; one at 1e-25
+    does not.
+    Recorded with OpenBLAS's AVX2/AVX-512 kernels (Haswell, SkylakeX and
+    Zen agree); its pre-AVX2 kernels sum in another order and move these
+    fronts by up to 2 ulps."""
+
+    LOCAL = (
+        "0x1.40ccccccccccdp+4", "0x1.484eecabaa6b1p+4", "0x1.5657e766c9920p+4",
+        "0x1.687b473b7aee6p+4", "0x1.7da1e178deda9p+4", "0x1.950347c421ae6p+4",
+        "0x1.ae09067906daap+4", "0x1.c845e869f751ap+4", "0x1.e36b19351034dp+4",
+        "0x1.ff406c0861045p+4", "0x1.0dcf38ba8d87bp+5", "0x1.1c33ec8dfbf03p+5",
+        "0x1.2ac3ae9d63613p+5", "0x1.3976b8e6930e2p+5", "0x1.4846b8c4f5d58p+5",
+        "0x1.572f5a37ebd20p+5", "0x1.662c6860addd1p+5", "0x1.753b5aeb00a20p+5",
+        "0x1.8459bda36d639p+5", "0x1.9385954418534p+5", "0x1.a2bd42e2e1094p+5",
+        "0x1.b1ff6f60948f4p+5", "0x1.c14afc5037a7ap+5", "0x1.d09ef8af475e2p+5",
+        "0x1.dffa9854da41dp+5", "0x1.ef5cddc77d78ap+5", "0x1.fec569382dd80p+5",
+        "0x1.0719e223375dbp+6", "0x1.0ed3b3294ccb3p+6", "0x1.168fce8d52c4bp+6",
+        "0x1.1e4e3835e76fbp+6",
+    )
+    NONLOCAL = (
+        "0x1.40ccccccccccdp+4", "0x1.40ccccccccccfp+4", "0x1.46c2c9a6f5ee0p+4",
+        "0x1.4e6cdd2e554dap+4", "0x1.57de40c5fcb68p+4", "0x1.629f60e8b57e0p+4",
+        "0x1.6e6957c03965bp+4", "0x1.7b102de3b1028p+4", "0x1.887100ed8c7fap+4",
+        "0x1.966f697ceb094p+4", "0x1.a4f41d0ed44d4p+4", "0x1.b3ec46506ae0dp+4",
+        "0x1.c3487da211f00p+4", "0x1.d2fb72d0c6e5dp+4", "0x1.e2fa6a6bbcc4cp+4",
+        "0x1.f33c39cadd73cp+4", "0x1.01dc74cebb3cbp+5", "0x1.0a350ca004477p+5",
+        "0x1.12a5008b35000p+5", "0x1.1b29eda101ab5p+5", "0x1.23c19c0425d2ap+5",
+        "0x1.2c6a540892f7fp+5", "0x1.352278778bf91p+5", "0x1.3de8a1fe4d1fbp+5",
+        "0x1.46bb9653e51c8p+5", "0x1.4f9a4145aca93p+5", "0x1.5883af2c9202cp+5",
+        "0x1.617708729fd50p+5", "0x1.6a7386b0e2e24p+5", "0x1.73786d50bba0dp+5",
+        "0x1.7c8536023940ep+5",
+    )
+
+    @pytest.mark.parametrize("kernel, h, trace, speed", [
+        (DiracKernel(), 0.0, LOCAL, "0x1.eb91798c80bb4p+0"),
+        (GaussianKernel(1.0), 1.0, NONLOCAL, "0x1.1aa5a4883381ep+0"),
+    ], ids=["local", "nonlocal"])
+    def test_front_trace(self, kernel, h, trace, speed):
+        result = run(SimConfig(length=400.0, dx=0.1, t_end=30.0),
+                     ModelParams(p=2.0, h=h), kernel,
+                     BirthFunction.nicholson(2.0))
+        assert len(result.front) == 301
+        assert tuple(x.hex() for x in result.front[::10]) == trace
+        assert result.speed.hex() == speed
 
 
 _TRACE_SCRIPT = """
