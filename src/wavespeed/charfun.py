@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .kernels import Kernel, checked_exp
@@ -48,13 +49,13 @@ class ModelParams:
             raise DomainError(f"delay h must be >= 0, got {self.h}")
 
 
-@dataclass(frozen=True)
-class PsiEval:
+class PsiEval(NamedTuple):
     """psi and its partials at one point (z, eps).
 
     dzz > 0 always (psi is strictly convex in z: dzz >= 2*eps plus a
     nonnegative kernel term), and deps > 0 for z > 0; both facts are
-    what make the solver's nested bracketing valid.
+    what make the solver's nested bracketing valid.  A NamedTuple, not a
+    dataclass: psi_eval builds one per call, and this is the hot path.
     """
 
     value: float
@@ -111,7 +112,7 @@ def psi_eval(z: float, eps: float, params: ModelParams, kernel: Kernel) -> PsiEv
     dz = 2.0 * eps * z - 1.0 + pm * (root_eps * m1 - h * m0)
     dzz = 2.0 * eps + pm * (eps * m2 - 2.0 * h * root_eps * m1 + h * h * m0)
     deps = z * z + pm * m1 * z / (2.0 * root_eps)
-    return PsiEval(value=value, dz=dz, dzz=dzz, deps=deps)
+    return PsiEval(value, dz, dzz, deps)
 
 
 def wform_residuals(w: float, eps: float, params: ModelParams,

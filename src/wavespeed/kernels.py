@@ -74,10 +74,11 @@ def _fold_atoms(support, masses, dx: float):
 class Kernel(ABC):
     """Even probability kernel with finite exponential moments.
 
-    Immutable after construction; instances are freely shareable across
-    threads.  Subclasses implement the moment functional M and its first
-    two derivatives, the second moment, and a discretization used by the
-    front simulator.
+    Immutable after construction, apart from TabulatedKernel's one-entry
+    memo of its last argument, which is replaced in one assignment;
+    instances are freely shareable across threads.  Subclasses implement
+    the moment functional M and its first two derivatives, the second
+    moment, and a discretization used by the front simulator.
     """
 
     @abstractmethod
@@ -359,6 +360,7 @@ class TabulatedKernel(Kernel):
         self._mss = self._ms * self._s        # weights of M''
         self._top = float(self._s[-1])
         self._label = label
+        self._memo = (None, None, None)
 
     @classmethod
     def from_atoms(cls, positions, weights, label: str = "table") -> "TabulatedKernel":
@@ -396,22 +398,34 @@ class TabulatedKernel(Kernel):
             mass.append(2.0 * half * wg * np.array([density(v) for v in s]))
         return cls(np.concatenate(pos), np.concatenate(mass), label=label)
 
-    def mgf(self, lam: float) -> float:
-        self._guard(lam)
-        return float(np.dot(self._m, np.cosh(lam * self._s)))
+    def _shared(self, lam: float):
+        """(lam, lam*s, cosh(lam*s)), computed once per lam object.
 
-    def mgf_deriv(self, lam: float) -> float:
-        self._guard(lam)
-        return float(np.dot(self._ms, np.sinh(lam * self._s)))
-
-    def mgf_deriv2(self, lam: float) -> float:
-        self._guard(lam)
-        return float(np.dot(self._mss, np.cosh(lam * self._s)))
-
-    def _guard(self, lam: float) -> None:
+        psi_eval passes one w object to mgf, mgf_deriv and mgf_deriv2, so
+        a one-entry memo keyed by identity serves all three; the same
+        object always has the same bits, where == would match -0.0 with
+        0.0.  The memo is replaced as one tuple, so a kernel shared
+        between threads never reads a torn entry.
+        """
+        memo = self._memo
+        if memo[0] is lam:
+            return memo
         top = abs(lam) * self._top
         if top > _EXP_LIMIT:
             raise MgfOverflowError(f"cosh({top:.6g}) exceeds floating-point range")
+        x = lam * self._s
+        memo = (lam, x, np.cosh(x))
+        self._memo = memo
+        return memo
+
+    def mgf(self, lam: float) -> float:
+        return float(np.dot(self._m, self._shared(lam)[2]))
+
+    def mgf_deriv(self, lam: float) -> float:
+        return float(np.dot(self._ms, np.sinh(self._shared(lam)[1])))
+
+    def mgf_deriv2(self, lam: float) -> float:
+        return float(np.dot(self._mss, self._shared(lam)[2]))
 
     def second_moment(self) -> float:
         return float(np.dot(self._m, self._s * self._s))

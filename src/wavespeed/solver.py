@@ -11,16 +11,17 @@ monotone 1-D problems instead of a 2-D Newton iteration:
   * outer: eps -> min_z psi(z, eps) is strictly increasing (psi_eps > 0
     for z > 0), and the explicit bound window [1/upper^2, 1/lower^2]
     from the bounds module brackets its root, so solve_critical bisects
-    on its sign.  A few safeguarded Newton steps on eps (slope psi_eps)
-    first certify a below point a and an above point b a few 1e-13
-    apart around the root, using the enclosure psi - psi_z^2/(4*eps) <=
-    min psi <= psi at one psi_eval each.  The bisection replays every
-    midpoint outside (a, b) without evaluating; one inside takes its
-    sign from the same enclosure at a warm z, with a cold min_psi only
-    when that cannot decide.  So the decisions and the result equal
-    those of a cold min_psi at every midpoint.  The window is inflated
-    by one part in 1e9 because for the point-mass kernel at h in {0, 1}
-    the window degenerates to a point.
+    on its sign.  Every sign it needs comes from the enclosure
+    psi - psi_z^2/(4*eps) <= min psi <= psi at a warm z, one psi_eval
+    each, with a cold min_psi only when that cannot decide: the bracket
+    ends, a few safeguarded Newton steps on eps (slope psi_eps) that
+    certify a below point a and an above point b a few 1e-13 apart
+    around the root, and the midpoints inside (a, b).  The bisection
+    replays every midpoint outside (a, b) without evaluating.  So the
+    decisions and the result equal those of a cold min_psi at every
+    bracket end and midpoint.  The window is inflated by one part in
+    1e9 because for the point-mass kernel at h in {0, 1} the window
+    degenerates to a point.
 
 The tolerances are fixed (DEFAULT_CONFIG): eps to 1e-12 relative,
 |psi_z| <= 1e-13 inside min_psi, and |psi|, |psi_z| <= 1e-9 at eps0.
@@ -190,9 +191,9 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
         f"|psi_z| <= {DEFAULT_CONFIG.inner_tol:g}")
 
 
-# a midpoint's sign is certified only when psi clears this many ulps of
-# its largest term, and after this many warm Newton evaluations the cold
-# min_psi decides instead
+# a sign (bracket end or midpoint) is certified only when psi clears
+# this many ulps of its largest term, and after this many warm Newton
+# evaluations the cold min_psi decides instead
 _SIGN_ULPS = 64
 _SIGN_TRIES = 3
 # psi_eval calls allowed to _certified_bracket's Newton iteration on eps
@@ -227,13 +228,15 @@ def _newton_z(ev: PsiEval, z: float) -> float:
     return step if math.isfinite(step) and step > 0.0 else 0.5 * z
 
 
-def _min_psi_positive(eps: float, z: float, params: ModelParams,
-                      kernel: Kernel) -> tuple[bool, float]:
-    """Decide min_psi(eps)[1] > 0.0 from a warm z; return it and the next z.
+def _min_psi_sign(eps: float, z: float, params: ModelParams,
+                  kernel: Kernel) -> tuple[float, float]:
+    """Sign of min_psi(eps)[1] from a warm z; return it and the next z.
 
-    The sign comes from the enclosure of _enclosed_sign.  Each evaluation
-    moves z one Newton step towards the minimizer, which also warms the
-    next midpoint.
+    The sign comes from the enclosure of _enclosed_sign, as +-1.0; each
+    evaluation moves z one Newton step towards the minimizer, which also
+    warms the next call.  When _SIGN_TRIES evaluations cannot decide, or
+    one overflows, the cold min_psi(eps)[1] itself is returned, so every
+    comparison of the result with 0.0 equals the cold one.
     """
     for _ in range(_SIGN_TRIES):
         try:
@@ -243,18 +246,21 @@ def _min_psi_positive(eps: float, z: float, params: ModelParams,
         above, _ = _enclosed_sign(ev, z, eps)
         z = _newton_z(ev, z)
         if above is not None:
-            return above, z
+            return (1.0 if above else -1.0), z
     z, f = min_psi(eps, params, kernel)
-    return f > 0.0, z
+    return f, z
 
 
 def _eps_bracket(params: ModelParams,
                  kernel: Kernel) -> tuple[float, float, float]:
-    """Cold eps bracket (lo, z_lo, hi): min_psi(lo) < 0 < min_psi(hi).
+    """Eps bracket (lo, z_lo, hi): min_psi(lo)[1] < 0 < min_psi(hi)[1].
 
     It starts from the explicit bound window, inflated by one part in
-    1e9, and halves lo or doubles hi (up to 8 times) until the cold signs
-    straddle 0; z_lo is the cold minimizer at lo.
+    1e9, and halves lo or doubles hi (up to 8 times) until the signs
+    straddle 0.  Each sign is that of a cold min_psi, taken through
+    _min_psi_sign: the lower end starts at z = 1, where the cold search
+    starts, and every other end at the previous z rescaled to keep
+    w = sqrt(eps)*z.  z_lo is the warm z at lo, not its minimizer.
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
@@ -264,18 +270,20 @@ def _eps_bracket(params: ModelParams,
     eps_lo = (1.0 - 1e-9) / (upper * upper)
     eps_hi = (1.0 + 1e-9) / (lower * lower)
 
-    z_lo, f_lo = min_psi(eps_lo, params, kernel)
+    f_lo, z_lo = _min_psi_sign(eps_lo, 1.0, params, kernel)
     for _ in range(8):
         if f_lo < 0.0:
             break
         eps_lo *= 0.5
-        z_lo, f_lo = min_psi(eps_lo, params, kernel)
-    f_hi = min_psi(eps_hi, params, kernel)[1]
+        f_lo, z_lo = _min_psi_sign(eps_lo, z_lo * math.sqrt(2.0), params,
+                                   kernel)
+    z = z_lo * math.sqrt(eps_lo / eps_hi)
+    f_hi, z = _min_psi_sign(eps_hi, z, params, kernel)
     for _ in range(8):
         if f_hi > 0.0:
             break
         eps_hi *= 2.0
-        f_hi = min_psi(eps_hi, params, kernel)[1]
+        f_hi, z = _min_psi_sign(eps_hi, z * math.sqrt(0.5), params, kernel)
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(
             f"psi_min has no sign change over eps in [{eps_lo:g}, {eps_hi:g}]")
@@ -286,9 +294,10 @@ def _certified_bracket(lo: float, hi: float, z: float, params: ModelParams,
                        kernel: Kernel) -> tuple[float, float, float]:
     """Certify a below point a and an above point b near eps0; return (a, b, z).
 
-    Safeguarded Newton on eps -> psi_min(eps), started at lo with z its
-    cold minimizer.  Each evaluation estimates psi_min ~ psi -
-    psi_z^2/(2*psi_zz), with slope psi_eps, and moves z one Newton step.
+    Safeguarded Newton on eps -> psi_min(eps), started at lo with z a
+    warm iterate there, not necessarily the minimizer.  Each evaluation
+    estimates psi_min ~ psi - psi_z^2/(2*psi_zz), with slope psi_eps,
+    and moves z one Newton step.
     Where the evaluation's enclosure clears rounding (_enclosed_sign),
     eps becomes a (a cold min_psi(eps)[1] < 0) or b (> 0); psi_min
     increases in eps, so every eps <= a is below and every eps >= b
@@ -343,15 +352,16 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
     The initial eps bracket comes from the explicit bound window; the
     window is guaranteed (strictly for spread-out kernels, degenerately
     for the point mass) to contain 1/c*^2, and psi_min is strictly
-    increasing in eps, so bisection cannot fail.  The bracket ends and
-    eps0 get a cold min_psi.  A few Newton steps on eps then certify a
-    below point a and an above point b a few 1e-13 (relative) either side
-    of eps0 (_certified_bracket), and the bisection replays every
-    midpoint <= a as below and >= b as above with no evaluation.  A
-    midpoint inside (a, b) takes its sign from a warm Newton iterate z
-    whenever the enclosure of psi_min at z clears rounding, and from a
-    cold min_psi otherwise.  Every decision equals the cold one, so the
-    result is that of bisection with a cold min_psi at every midpoint.
+    increasing in eps, so bisection cannot fail.  A few Newton steps on
+    eps certify a below point a and an above point b a few 1e-13
+    (relative) either side of eps0 (_certified_bracket), and the
+    bisection replays every midpoint <= a as below and >= b as above
+    with no evaluation.  The bracket ends and each midpoint inside
+    (a, b) take their signs from a warm Newton iterate z whenever the
+    enclosure of psi_min at z clears rounding, and from a cold min_psi
+    otherwise (_min_psi_sign); eps0 gets a cold min_psi.  Every decision
+    equals the cold one, so the result is that of bisection with a cold
+    min_psi at every bracket end and midpoint.
     The returned point carries residuals and the positivity certificate
     (psi_zz, psi_eps); residuals above 1e-9 raise ConvergenceError.
     """
@@ -366,8 +376,8 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
         elif mid >= above:
             hi = mid
         else:
-            up, z = _min_psi_positive(mid, z, params, kernel)
-            if up:
+            f, z = _min_psi_sign(mid, z, params, kernel)
+            if f > 0.0:
                 hi = mid
             else:
                 lo = mid
@@ -544,9 +554,18 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
             f"(|psi_min| = {abs(psi_seed):.3g} > {_ENTRY_PSI_TOL:g})")
 
     use_cardano = isinstance(kernel, GaussianKernel)
+    # w0 at every stage point; stage s1 of each step starts at a sample,
+    # so the samples below read their w0 from here
+    w0s: dict[tuple[float, float], float] = {}
+
+    def w0_at(h: float, eps: float) -> float:
+        w0 = w0s.get((h, eps))
+        if w0 is None:
+            w0 = w0s[(h, eps)] = _w0_on_curve(p, kernel, h, eps)
+        return w0
 
     def slope(h: float, eps: float) -> float:
-        w0 = _w0_on_curve(p, kernel, h, eps)
+        w0 = w0_at(h, eps)
         g = G_value(w0, eps)
         return 2.0 * eps * g / (1.0 + h * g)
 
@@ -592,13 +611,16 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         epss.reverse()
     z0s, res_p, res_pz = [], [], []
     for h_i, eps_i in zip(hs, epss):
-        w0 = _w0_on_curve(p, kernel, h_i, eps_i)
+        w0 = w0_at(h_i, eps_i)
         z_i = w0 / math.sqrt(eps_i)
         ev = psi_eval(z_i, eps_i, ModelParams(p=p, h=h_i), kernel)
         z0s.append(z_i)
         res_p.append(abs(ev.value))
         res_pz.append(abs(ev.dz))
 
+    # advance refers to itself, so these closures form a cycle that only
+    # the cyclic collector frees; do not hold the memo until then
+    w0s.clear()
     method = "cardano-continuation" if use_cardano else "ode-continuation"
     return SpeedCurve(
         method=method,

@@ -50,6 +50,12 @@ class TestModelParams:
 
 
 class TestPsiEval:
+    def test_frozen(self):
+        ev = psi_eval(0.5, 0.7, ModelParams(p=2.0, h=1.0), KERNELS[0])
+        for name in ("value", "dz", "dzz", "deps"):
+            with pytest.raises(AttributeError):
+                setattr(ev, name, 0.0)
+
     def test_value_at_origin(self):
         # psi(0, eps) = p - 1 for every kernel and every eps
         for p in (1.5, 2.0, 4.0):

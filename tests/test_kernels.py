@@ -1,5 +1,6 @@
 """Kernel layer: closed forms against quadrature, twins, parsing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,80 @@ class TestTabulated:
         tab = TabulatedKernel.from_atoms([5.0], [1.0])
         with pytest.raises(MgfOverflowError):
             tab.mgf(200.0)  # lam * s_max = 1000 > 700
+
+
+def fresh(x: float) -> float:
+    """A float equal to x, but a new object."""
+    y = float(repr(x))
+    assert y == x and y is not x
+    return y
+
+
+class TestTabulatedMemo:
+    """mgf, mgf_deriv and mgf_deriv2 share lam*s and cosh(lam*s) through
+    a one-entry memo keyed by the identity of lam; every value must keep
+    the bits of the plain expression, whatever the call sequence."""
+
+    METHODS = ("mgf", "mgf_deriv", "mgf_deriv2")
+    KERNELS = (tabulated_twin(GaussianKernel(1.0)),
+               TabulatedKernel.from_atoms([0.0, 1.5], [0.25, 0.75]))
+
+    @staticmethod
+    def plain(kernel, name, lam):
+        s, m = kernel._s, kernel._m
+        if name == "mgf":
+            return float(np.dot(m, np.cosh(lam * s)))
+        if name == "mgf_deriv":
+            return float(np.dot(m * s, np.sinh(lam * s)))
+        return float(np.dot(m * s * s, np.cosh(lam * s)))
+
+    def lams(self, kernel):
+        edge = 700.0 / kernel._top
+        return [0.0, -0.0, 0.37, -0.37, 2.5, -1.1,
+                float(np.nextafter(edge, 0.0)), -float(np.nextafter(edge, 0.0))]
+
+    def check(self, kernel, name, lam):
+        got = getattr(kernel, name)(lam)
+        assert got.hex() == self.plain(kernel, name, lam).hex(), (name, lam)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=("twin", "two-atom"))
+    def test_every_call_order(self, kernel):
+        for order in itertools.permutations(self.METHODS):
+            for lam in self.lams(kernel):
+                for name in order:
+                    self.check(kernel, name, lam)
+                # an equal value in a new object, then the same again
+                twin_lam = fresh(lam)
+                for name in order + order:
+                    self.check(kernel, name, twin_lam)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=("twin", "two-atom"))
+    def test_alternating_objects(self, kernel):
+        # -0.0 == 0.0, so only an identity key keeps their bits apart
+        lams = self.lams(kernel)
+        for a, b in itertools.product(lams, repeat=2):
+            for name in self.METHODS:
+                for lam in (a, b, a, fresh(b), a):
+                    self.check(kernel, name, lam)
+
+    def test_signed_zero_keeps_its_sign(self):
+        kernel = TabulatedKernel.from_atoms([1.0], [1.0])
+        for lam in (0.0, -0.0, 0.0, -0.0):
+            self.check(kernel, "mgf_deriv", lam)
+        assert kernel.mgf_deriv(-0.0).hex() == (-0.0).hex()
+        assert kernel.mgf_deriv(0.0).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_overflow_on_first_call(self, name):
+        kernel = TabulatedKernel.from_atoms([5.0], [1.0])
+        for lam in (141.0, -141.0):  # |lam| * s_max = 705 > 700
+            with pytest.raises(MgfOverflowError):
+                getattr(kernel, name)(lam)
+        # and after the memo holds a good lam
+        self.check(kernel, name, 1.0)
+        with pytest.raises(MgfOverflowError):
+            getattr(kernel, name)(141.0)
+        self.check(kernel, name, 1.0)
 
 
 class TestQuadratureTwins:

@@ -224,29 +224,36 @@ class TestSolveCritical:
             assert solve_critical(params, kernel) == \
                 _bisect_reference(params, kernel), (params, kernel)
 
-    @pytest.mark.parametrize("kernel, h, budget", [
-        pytest.param(GAUSS1, 1.0, 28, id="kernel0"),
-        pytest.param(UniformKernel(1.0), 1.0, 30, id="kernel1"),
-        pytest.param(GAUSS1, 50.0, 58, id="gauss-h50"),
-        pytest.param(DiracKernel(), 1.0, 34, id="dirac-h1"),
+    @pytest.mark.parametrize("kernel, h, budget, cold", [
+        pytest.param(GAUSS1, 1.0, 18, 1, id="kernel0"),
+        pytest.param(UniformKernel(1.0), 1.0, 18, 1, id="kernel1"),
+        pytest.param(GAUSS1, 50.0, 30, 1, id="gauss-h50"),
+        pytest.param(DiracKernel(), 1.0, 24, 2, id="dirac-h1"),
     ])
     def test_midpoint_signs_need_few_evaluations(self, kernel, h, budget,
-                                                 monkeypatch):
+                                                 cold, monkeypatch):
         # a cold min_psi at each of the ~40 midpoints took 221 (Gaussian,
-        # h=1) and 252 (uniform) psi_eval calls, and a warm z at each 58,
-        # 57, 86 (Gaussian, h=50) and 37 (Dirac).  With the replay these
-        # take 24, 26, 53 and 30: the three cold min_psi calls (bracket
-        # ends and eps0), a few Newton steps on eps and the one or two
-        # midpoints inside the certified bracket
-        calls = []
+        # h=1) and 252 (uniform) psi_eval calls.  These take 16, 16, 27
+        # (Gaussian, h=50) and 22 (Dirac): one or two warm evaluations
+        # per bracket end, a few Newton steps on eps, the one or two
+        # midpoints inside the certified bracket, and the final cold
+        # min_psi at eps0, the only cold one except for Dirac
+        calls, mins = [], []
 
         def counted(*args):
             calls.append(args)
             return psi_eval(*args)
 
+        def counted_min(*args):
+            mins.append(args[0])
+            return min_psi(*args)
+
         monkeypatch.setattr(solver, "psi_eval", counted)
-        solve_critical(ModelParams(p=2.0, h=h), kernel)
+        monkeypatch.setattr(solver, "min_psi", counted_min)
+        cp = solve_critical(ModelParams(p=2.0, h=h), kernel)
         assert len(calls) <= budget
+        assert len(mins) == cold
+        assert mins[-1] == cp.eps0
 
     @pytest.mark.parametrize("kernel, p, h", [
         # min_psi meets psi_z = nan here; taken as negative, it moved the
@@ -263,6 +270,24 @@ class TestSolveCritical:
         cp = solve_critical(params, kernel)
         assert_certified(cp, params, kernel)
         assert cp == _bisect_reference(params, kernel)
+
+    def test_certifies_where_cold_bracket_end_overflowed(self):
+        # a cold min_psi at a bracket end used to raise MgfOverflowError
+        # at h = 2 and 3; the warm signs never make that call.  The
+        # references are min_w c(w), frozen from a 40-digit mpmath solve
+        # of p e^{-chw} cosh(50 w) = 1 + cw - w^2 and its w-derivative
+        kernel = TwoPointKernel(50.0)
+        ref = {2.0: 18.34135642656529366933501685736846702,
+               3.0: 13.27597722114862855156896315150240110784}
+        speeds = {}
+        for h in (1.0, 2.0, 3.0, 4.0):
+            params = ModelParams(p=2.0, h=h)
+            cp = solve_critical(params, kernel)
+            assert_certified(cp, params, kernel)
+            speeds[h] = cp.c_star
+        assert speeds[1.0] > speeds[2.0] > speeds[3.0] > speeds[4.0]
+        for h, c_star in ref.items():
+            assert rel(speeds[h], c_star) < 1e-12
 
     def test_certificate_fields(self):
         cp = solve_critical(ModelParams(p=3.0, h=2.0), GAUSS1)
