@@ -20,8 +20,7 @@ from .charfun import (CriticalPoint, G_value, H_value, ModelParams, PsiEval,
                       R_value, critical_point, psi_eval, wform_residuals)
 from .errors import (BracketError, ConvergenceError, CubicRootError,
                      DegenerateCubicError, DomainError, MgfOverflowError,
-                     NumericalError, UnstableSimulationError,
-                     UnsupportedVariantError, WavespeedError)
+                     NumericalError, UnsupportedVariantError, WavespeedError)
 from .front_sim import (BirthFunction, SimConfig, SimResult, fit_front_speed,
                         front_position, run)
 from .kernels import (DiracKernel, GaussianKernel, Kernel, TabulatedKernel,
@@ -39,7 +38,7 @@ __all__ = [
     "MgfOverflowError", "ModelParams", "NumericalError", "PsiEval", "R_value",
     "SimConfig", "SimResult", "SpeedBounds",
     "SpeedCurve", "TabulatedKernel", "TwoPointKernel", "UniformKernel",
-    "UnstableSimulationError", "UnsupportedVariantError", "WavespeedError",
+    "UnsupportedVariantError", "WavespeedError",
     "ad_upper", "ad_upper_opt", "bound_window", "cardano_w0", "continue_ode",
     "critical_point", "fit_front_speed", "front_position", "k1", "k2",
     "kernel_from_spec", "min_psi", "psi_eval", "run", "solve_critical",

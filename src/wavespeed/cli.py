@@ -23,7 +23,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from .charfun import G_value, H_value, ModelParams, R_value, psi_eval
+from .charfun import (G_value, H_value, ModelParams, R_value, _check_eps,
+                      psi_eval)
 from .errors import DomainError, NumericalError, WavespeedError
 from .front_sim import BirthFunction, SimConfig, run as run_sim
 from .kernels import GaussianKernel, Kernel, kernel_from_spec
@@ -144,44 +145,14 @@ def _render_svg(path: str, title: str, x_label: str,
 
 
 # ----------------------------------------------------------- argument types
-
-def _arg_p(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"p must be a number, got {text!r}")
-    if not (math.isfinite(v) and v > 1.0):
-        raise argparse.ArgumentTypeError(
-            f"p = {v:g} rejected: the monostable hypothesis requires the "
-            "birth-function slope p > 1")
-    return v
-
-
-def _arg_h(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"h must be a number, got {text!r}")
-    if not (math.isfinite(v) and v >= 0.0):
-        raise argparse.ArgumentTypeError(f"delay h must be >= 0, got {v:g}")
-    return v
-
+# Numbers are parsed as plain floats: ModelParams, SimConfig, BirthFunction
+# and the commands check their ranges, and main maps that DomainError to 2.
 
 def _arg_kernel(text: str) -> Kernel:
     try:
         return kernel_from_spec(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _arg_positive(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (math.isfinite(v) and v > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {v:g}")
-    return v
 
 
 # ---------------------------------------------------------------- commands
@@ -301,6 +272,7 @@ def cmd_curves(args) -> int:
         raise DomainError(f"--samples must be >= 1, got {args.samples}")
     params = ModelParams(p=args.p, h=args.h)
     if args.eps is not None:
+        _check_eps(args.eps)
         eps = args.eps
     else:
         eps = solve_critical(params, args.kernel).eps0
@@ -454,10 +426,10 @@ def cmd_figure2(args) -> int:
 # ------------------------------------------------------------------- parser
 
 def _add_model_flags(sub, with_h: bool = True) -> None:
-    sub.add_argument("--p", type=_arg_p, required=True,
+    sub.add_argument("--p", type=float, required=True,
                      help="birth-function slope at 0 (must exceed 1)")
     if with_h:
-        sub.add_argument("--h", type=_arg_h, required=True,
+        sub.add_argument("--h", type=float, required=True,
                          help="maturation delay (>= 0)")
     sub.add_argument("--kernel", type=_arg_kernel, required=True,
                      help="kernel spec: gaussian:alpha=A | uniform:a=A | "
@@ -481,8 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("curve", help="c*(h) and bounds over an h range")
     _add_model_flags(sp, with_h=False)
-    sp.add_argument("--h-min", type=_arg_h, default=0.0)
-    sp.add_argument("--h-max", type=_arg_h, default=5.0)
+    sp.add_argument("--h-min", type=float, default=0.0)
+    sp.add_argument("--h-max", type=float, default=5.0)
     sp.add_argument("--samples", type=int, default=101)
     sp.add_argument("--method", choices=("direct", "ode"), default="direct")
     sp.add_argument("--out", default="curve.csv")
@@ -491,14 +463,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("curves", help="auxiliary functions G, H, R on a w grid")
     _add_model_flags(sp)
-    sp.add_argument("--eps", type=_arg_positive, default=None,
+    sp.add_argument("--eps", type=float, default=None,
                     help="evaluate at this eps (default: the critical eps0)")
     sp.add_argument("--samples", type=int, default=151)
     sp.add_argument("--out", default="curves.csv")
     sp.set_defaults(func=cmd_curves)
 
     sp = subs.add_parser("verify", help="built-in consistency suite")
-    sp.add_argument("--p", type=_arg_p, default=2.0)
+    sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--kernel", type=_arg_kernel, default="gaussian:alpha=1")
     sp.set_defaults(func=cmd_verify)
 
@@ -506,14 +478,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--birth", choices=("nicholson", "capped"),
                     default="nicholson")
-    sp.add_argument("--cap", type=_arg_positive, default=1.0,
+    sp.add_argument("--cap", type=float, default=1.0,
                     help="cap for the capped-linear birth function")
-    sp.add_argument("--length", type=_arg_positive, default=400.0)
-    sp.add_argument("--dx", type=_arg_positive, default=0.1)
-    sp.add_argument("--t-end", type=_arg_positive, default=100.0)
-    sp.add_argument("--threshold-frac", type=_arg_positive, default=0.5)
-    sp.add_argument("--init-width", type=_arg_positive, default=20.0)
-    sp.add_argument("--kernel-half-width", type=_arg_positive, default=10.0)
+    sp.add_argument("--length", type=float, default=400.0)
+    sp.add_argument("--dx", type=float, default=0.1)
+    sp.add_argument("--t-end", type=float, default=100.0)
+    sp.add_argument("--threshold-frac", type=float, default=0.5)
+    sp.add_argument("--init-width", type=float, default=20.0)
+    sp.add_argument("--kernel-half-width", type=float, default=10.0)
     sp.add_argument("--out", default=None, help="front trace CSV (t,x_front)")
     sp.set_defaults(func=cmd_simulate)
 

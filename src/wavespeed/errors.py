@@ -46,7 +46,3 @@ class CubicRootError(NumericalError):
 class DegenerateCubicError(NumericalError):
     """Leading cubic coefficient is numerically zero; the fast path does
     not apply and the caller must fall back to the generic solver."""
-
-
-class UnstableSimulationError(NumericalError):
-    """Explicit time stepping blew up (solution left its physical range)."""

@@ -32,21 +32,26 @@ Fixed choices, none of them settable:
     ahead of the front; it runs as a few small matrix products over
     blocks of 32 cells (_blocked).
   * The stencils' tails do spread ahead of the front, far below any
-    level it sees, so operator inputs below _FLUSH = 2^-960 are read
-    as zero.  A product u*w with u >= 2^-960 and w >= 2^-62 is a
-    normal double, and the default weights are far above 2^-62 (at
-    least 4.8e-9 in S, 1.0e-12 in Pb, 3.9e-13 in the Gaussian K), so
-    no product or sum ever meets a subnormal, which made the blocked
-    products two to three times slower.  This is the cutoff of Brunet
-    & Derrida (Phys. Rev. E 56 (1997) 2597): at eps ~ 1e-289 it shifts
-    the speed by about (pi/ln eps)^2 ~ 2e-5 relative, and only after a
-    relaxation time ~ ln^2 eps, far beyond any run's t_end.
+    level it sees, so each operator reads inputs below tiny/w_min as
+    zero, where tiny is the smallest normal double and w_min the
+    operator's smallest positive weight.  Every product u*w it forms,
+    and every sum of them, is then a normal double: subnormals made the
+    blocked products two to three times slower.  The threshold is
+    capped at 2^-500, so that a weight below 2^-522 cannot raise it to
+    a level the front sees (such an operator may meet subnormals).  This
+    is the cutoff of Brunet & Derrida (Phys. Rev. E 56 (1997) 2597):
+    it shifts the speed by about (pi/ln eps)^2 relative, 8e-5 even at
+    the cap (eps ~ 3e-151), and only after a relaxation time ~ ln^2 eps,
+    far beyond any run's t_end.
   * S, Pa and Pb use reflect padding (mirror ghosts on every substep);
     K uses edge replication.  The history holds u_{n-N}..u_n (N + 1
     slices), pre-filled with the initial condition (constant history).
   * The run stops two cells before the stencils' reach of the right
     edge (the largest of kernel_half_width, the discrete kernel's
     half-width, which atom kernels may exceed, and m cells).
+  * Nothing checks the field's size: S, Pa and Pb are nonnegative with
+    unit total weight and K has unit sum, so u never exceeds
+    max(u_0, sup g), which is max(ln p, p/e) for Nicholson.
   * The speed is fitted over the trailing 40 % of the front trace.
 """
 
@@ -60,14 +65,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charfun import ModelParams
-from .errors import DomainError, UnstableSimulationError
+from .errors import DomainError
 from .kernels import Kernel
 
 _MACRO_STEP = 0.1  # Delta before snapping to divide h
 _STABILITY = 0.45  # substep delta <= _STABILITY * dx^2
 _FIT_FRACTION = 0.4  # trailing fraction of the front trace that is fitted
 _BLOCK = 32  # output cells per row of a stencil's blocked product
-_FLUSH = 2.0 ** -960  # operator inputs below this are read as zero
+_FLUSH_CAP = 2.0 ** -500  # no operator reads inputs above this as zero
 
 
 @dataclass(frozen=True)
@@ -132,37 +137,37 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dx > 0.0 and math.isfinite(self.dx)):
             raise DomainError(f"dx must be positive, got {self.dx}")
-        if not (self.length >= 20.0 * self.dx):
-            raise DomainError("domain must span at least 20 grid cells")
-        if not (self.t_end > 0.0):
-            raise DomainError(f"t_end must be positive, got {self.t_end}")
+        if not (math.isfinite(self.length) and self.length >= 20.0 * self.dx):
+            raise DomainError(
+                f"length must be finite and span at least 20 grid cells, "
+                f"got {self.length}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
         if not (0.0 < self.threshold_frac < 1.0):
             raise DomainError(
                 f"threshold_frac must lie in (0,1), got {self.threshold_frac}")
         if not (0.0 < self.init_width < self.length):
             raise DomainError("init_width must lie inside the domain")
-        if not (self.kernel_half_width > 0.0):
-            raise DomainError("kernel_half_width must be positive")
+        if not (math.isfinite(self.kernel_half_width)
+                and self.kernel_half_width > 0.0):
+            raise DomainError(f"kernel_half_width must be finite and positive, "
+                              f"got {self.kernel_half_width}")
 
 
 @dataclass
 class SimState:
     """Mutable state of one run; owned exclusively by that run.
 
-    s, pa and pb are the step's stencils S, Pa and Pb (2m+1 taps each,
-    nonnegative, together of unit sum); forcing is F_n = K * g(u_{n-N}),
-    carried so that each history slice meets K once (at N = 0, step
-    takes F_n from u_n instead).  apply_s, apply_pa, apply_pb and
-    apply_k apply S, Pa, Pb (mirror ghosts) and K (edge replication)
-    as blocked products built once from these arrays (see _blocked).
+    apply_s, apply_pa, apply_pb and apply_k apply the step's stencils
+    S, Pa, Pb (mirror ghosts) and the discrete kernel K (edge
+    replication) as blocked products (see _blocked); reach is the
+    widest of their half-widths, in cells.  forcing is
+    F_n = K * g(u_{n-N}), carried so that each history slice meets K
+    once (at N = 0, step takes F_n from u_n instead).
     """
 
     u: np.ndarray
     history: deque                 # u_{n-N} .. u_n, N + 1 slices
-    weights: np.ndarray            # discrete kernel, unit sum
-    s: np.ndarray
-    pa: np.ndarray
-    pb: np.ndarray
     forcing: np.ndarray
     apply_s: Callable[[np.ndarray], np.ndarray]
     apply_pa: Callable[[np.ndarray], np.ndarray]
@@ -170,6 +175,7 @@ class SimState:
     apply_k: Callable[[np.ndarray], np.ndarray]
     dt: float                      # the macro step Delta
     n_delay: int                   # N = h / Delta (0 means no delay)
+    reach: int                     # cells the widest operator reads per side
     t: float = 0.0
     clamp_events: int = 0
 
@@ -189,7 +195,7 @@ class SimResult:
     dx: float
 
 
-def resolve_dt(cfg: SimConfig, h: float) -> tuple[float, int]:
+def resolve_dt(h: float) -> tuple[float, int]:
     """Pick the macro step Delta = 0.1 snapped to divide h; return (Delta, N)."""
     if h <= 0.0:
         return _MACRO_STEP, 0
@@ -227,11 +233,13 @@ def _blocked(stencil: np.ndarray, gather: np.ndarray):
     The index map is extended to whole blocks; the cells past n are
     computed and dropped.  Each output is still a direct sum of
     nonnegative weights times the field.  Entries of the gathered copy
-    below _FLUSH are zeroed first (the caller's field is untouched), so
-    no subnormal input reaches the products.
+    below tiny/w_min (at most _FLUSH_CAP), with w_min the smallest
+    positive weight, are zeroed first (the caller's field is untouched),
+    so no product of an input and a weight is subnormal.
     """
     if stencil.size == 1:
         return lambda v: stencil[0] * v
+    flush = min(np.finfo(float).tiny / stencil[stencil > 0.0].min(), _FLUSH_CAP)
     n = gather.size - stencil.size + 1
     blocks = -(-n // _BLOCK)
     q = -(-(_BLOCK + stencil.size - 1) // _BLOCK)
@@ -244,7 +252,7 @@ def _blocked(stencil: np.ndarray, gather: np.ndarray):
 
     def apply(v: np.ndarray) -> np.ndarray:
         rows = v[index].reshape(-1, _BLOCK)
-        rows[rows < _FLUSH] = 0.0
+        rows[rows < flush] = 0.0
         out = rows[:blocks] @ parts[0]
         for j in range(1, q):
             out += rows[j:j + blocks] @ parts[j]
@@ -257,18 +265,18 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     """Allocate the grid, build the stencils, pre-fill the history."""
     cells = np.arange(int(round(cfg.length / cfg.dx)) + 1)
     u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
-    dt, n_delay = resolve_dt(cfg, params.h)
+    dt, n_delay = resolve_dt(params.h)
     s, pa, pb = _stencils(dt, cfg.dx)
     _, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
     reflect = np.pad(cells, s.size // 2, mode="reflect")
     apply_k = _blocked(weights, np.pad(cells, weights.size // 2, mode="edge"))
     history = deque(u0.copy() for _ in range(n_delay))
     history.append(u0)
-    return SimState(u=u0, history=history, weights=weights, s=s, pa=pa, pb=pb,
-                    forcing=apply_k(g(history[0])),
+    return SimState(u=u0, history=history, forcing=apply_k(g(history[0])),
                     apply_s=_blocked(s, reflect), apply_pa=_blocked(pa, reflect),
                     apply_pb=_blocked(pb, reflect), apply_k=apply_k,
-                    dt=dt, n_delay=n_delay)
+                    dt=dt, n_delay=n_delay,
+                    reach=max(weights.size, s.size) // 2)
 
 
 def step(state: SimState, g: BirthFunction) -> SimState:
@@ -290,10 +298,6 @@ def step(state: SimState, g: BirthFunction) -> SimState:
     if negatives:
         state.clamp_events += negatives
         np.maximum(u_new, 0.0, out=u_new)
-    top = float(u_new.max())
-    if top > 10.0 * g.equilibrium:
-        raise UnstableSimulationError(
-            f"field reached {top:.3g} (> 10x equilibrium) at t={state.t:.3g}")
     state.history.append(u_new)
     state.history.popleft()
     state.u = u_new
@@ -344,8 +348,7 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
             f"birth function slope {g.p:g} disagrees with params.p {params.p:g}")
     state = make_state(cfg, params, kernel, g)
     theta = cfg.threshold_frac * g.equilibrium
-    reach = max(cfg.kernel_half_width,
-                max(state.weights.size, state.s.size) // 2 * cfg.dx)
+    reach = max(cfg.kernel_half_width, state.reach * cfg.dx)
     stop_x = cfg.length - reach - 2.0 * cfg.dx
     times = [0.0]
     fronts = [front_position(state.u, cfg.dx, theta)]

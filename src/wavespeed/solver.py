@@ -576,16 +576,21 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         s4 = slope(h + dh, eps + dh * s3)
         return eps + dh * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
 
-    def advance(h: float, eps: float, dh: float, depth: int) -> float:
-        try:
-            return rk4(h, eps, dh)
-        except NumericalError:
-            if depth >= 4:
-                raise ConvergenceError(
-                    f"continuation stage kept failing near h={h:g} "
-                    "after 4 step halvings") from None
-            mid = advance(h, eps, 0.5 * dh, depth + 1)
-            return advance(h + 0.5 * dh, mid, 0.5 * dh, depth + 1)
+    def advance(h: float, eps: float, dh: float) -> float:
+        pieces = [(h, dh, 0)]         # (start, length, halvings); next on top
+        while pieces:
+            start, length, depth = pieces.pop()
+            try:
+                eps = rk4(start, eps, length)
+            except NumericalError:
+                if depth >= 4:
+                    raise ConvergenceError(
+                        f"continuation stage kept failing near h={start:g} "
+                        "after 4 step halvings") from None
+                half = 0.5 * length
+                pieces += [(start + half, half, depth + 1),
+                           (start, half, depth + 1)]
+        return eps
 
     hs = [h0]
     epss = [eps_init]
@@ -593,7 +598,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         h_cur, eps_cur = h0, eps_init
         for i in range(1, steps + 1):
             h_next = h0 + (h_end - h0) * i / steps
-            eps_cur = advance(h_cur, eps_cur, h_next - h_cur, 0)
+            eps_cur = advance(h_cur, eps_cur, h_next - h_cur)
             h_cur = h_next
             hs.append(h_cur)
             epss.append(eps_cur)
@@ -618,9 +623,6 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         res_p.append(abs(ev.value))
         res_pz.append(abs(ev.dz))
 
-    # advance refers to itself, so these closures form a cycle that only
-    # the cyclic collector frees; do not hold the memo until then
-    w0s.clear()
     method = "cardano-continuation" if use_cardano else "ode-continuation"
     return SpeedCurve(
         method=method,

@@ -36,11 +36,9 @@ class TestSpeedCommand:
         assert fields["inside"] == "yes"
 
     def test_rejects_subcritical_slope(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["speed", "--p", "0.5", "--h", "1",
-                  "--kernel", "gaussian:alpha=1"])
-        assert exc.value.code == 2
-        assert "p > 1" in capsys.readouterr().err
+        assert main(["speed", "--p", "0.5", "--h", "1",
+                     "--kernel", "gaussian:alpha=1"]) == 2
+        assert "p must be > 1" in capsys.readouterr().err
 
     def test_rejects_unknown_kernel(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -99,6 +97,22 @@ class TestCurveCommand:
         for rd, ro in zip(rows_d, rows_o):
             cd, co = float(rd.split(",")[1]), float(ro.split(",")[1])
             assert rel(cd, co) < 1e-6
+
+    def test_single_sample(self, tmp_path, capsys):
+        # one sample is the row at h_min, and both methods take it from
+        # the same direct solve
+        rows = {}
+        for method in ("direct", "ode"):
+            out = tmp_path / f"{method}.csv"
+            assert main(["curve", "--p", "2", "--kernel", "gaussian:alpha=1",
+                         "--h-min", "1", "--h-max", "3", "--samples", "1",
+                         "--method", method, "--out", str(out)]) == 0
+            rows[method] = out.read_text().strip().split("\n")[1:]
+        assert rows["direct"] == rows["ode"]
+        (row,) = rows["direct"]
+        cells = row.split(",")
+        assert cells[0] == "1"
+        assert rel(float(cells[1]), REFERENCE["gauss_h1"]["c_star"]) < 1e-11
 
     def test_svg_artifact(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -179,6 +193,15 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
         assert out.count("[PASS]") >= 6
 
+    def test_non_gaussian_kernel(self, capsys):
+        # no seed equation or cubic: the seed is a direct solve at h = 0.5
+        # and the continuation takes the generic minimizer
+        assert main(["verify", "--kernel", "uniform:a=1"]) == 0
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out
+        assert out.count("[PASS]") == 3
+        assert "(ode-continuation)" in out
+
     def test_seeded_perturbation_is_caught(self, monkeypatch, capsys):
         # a Cardano fast path that drifts by one part in 1e3 must fail the
         # cardano-vs-generic check and the exit code; continuation uses
@@ -216,6 +239,25 @@ class TestSimulateCommand:
                      "--kernel-half-width", "2"]) == 0
         assert "fitted speed" in capsys.readouterr().out
 
+    def test_tabulated_kernel(self, tmp_path, capsys):
+        # a 3-atom table at A9's grid and horizon, h = 1: the front runs
+        # within 5 % of the table's c*
+        table = tmp_path / "atoms.csv"
+        table.write_text("s,weight\n-1,0.25\n0,0.5\n1,0.25\n")
+        assert main(["simulate", "--p", "2", "--h", "1",
+                     "--kernel", f"table:{table}"]) == 0
+        fields = parse_kv_stdout(capsys.readouterr().out)
+        assert float(fields["relative gap"]) < 0.05
+        assert fields["clamp events"] == "0"
+
+    def test_capped_birth(self, capsys):
+        assert main(["simulate", "--p", "2", "--h", "0", "--kernel", "dirac",
+                     "--birth", "capped", "--cap", "0.5", "--length", "150",
+                     "--dx", "0.2", "--t-end", "30"]) == 0
+        fields = parse_kv_stdout(capsys.readouterr().out)
+        assert float(fields["reference c*"]) == 2.0
+        assert float(fields["relative gap"]) < 0.05
+
     def test_rejects_start_past_stop_line(self, capsys):
         # a 40-unit stencil on a 50-unit domain leaves no room to spread
         assert main(["simulate", "--p", "2", "--h", "0",
@@ -232,10 +274,9 @@ class TestParserHygiene:
         assert exc.value.code == 2
 
     def test_rejects_negative_delay(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["speed", "--p", "2", "--h", "-1",
-                  "--kernel", "gaussian:alpha=1"])
-        assert exc.value.code == 2
+        assert main(["speed", "--p", "2", "--h", "-1",
+                     "--kernel", "gaussian:alpha=1"]) == 2
+        assert "delay h must be >= 0" in capsys.readouterr().err
 
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -245,3 +286,54 @@ class TestParserHygiene:
         for cmd in ("speed", "bounds", "curve", "curves", "verify",
                     "simulate", "figure2"):
             assert cmd in out
+
+
+# Every numeric flag of every command, with a valid base command line per
+# command; the library's own checks reject each bad value.
+_OUT = "OUT"
+_BASE = {
+    "speed": ["--p", "2", "--h", "1", "--kernel", "gaussian:alpha=1"],
+    "bounds": ["--p", "2", "--h", "1", "--kernel", "gaussian:alpha=1"],
+    "curve": ["--p", "2", "--kernel", "gaussian:alpha=1", "--h-min", "0",
+              "--h-max", "1", "--samples", "3", "--out", _OUT],
+    "curves": ["--p", "2", "--h", "1", "--kernel", "gaussian:alpha=1",
+               "--samples", "5", "--out", _OUT],
+    "verify": ["--p", "2"],
+    "simulate": ["--p", "2", "--h", "0", "--kernel", "dirac",
+                 "--birth", "capped", "--length", "80", "--dx", "0.2",
+                 "--t-end", "2", "--init-width", "5",
+                 "--kernel-half-width", "2", "--out", _OUT],
+}
+_OUT_OF_RANGE = {
+    "speed": {"--p": "1", "--h": "-1"},
+    "bounds": {"--p": "1", "--h": "-1"},
+    "curve": {"--p": "1", "--h-min": "-1", "--h-max": "-1", "--samples": "0"},
+    "curves": {"--p": "1", "--h": "-1", "--eps": "0", "--samples": "0"},
+    "verify": {"--p": "1"},
+    "simulate": {"--p": "1", "--h": "-1", "--cap": "0", "--length": "1",
+                 "--dx": "0", "--t-end": "0", "--threshold-frac": "1",
+                 "--init-width": "0", "--kernel-half-width": "0"},
+}
+_BAD_VALUES = [(command, flag, value)
+               for command, flags in _OUT_OF_RANGE.items()
+               for flag, out_of_range in flags.items()
+               for value in ("nan", "inf", out_of_range)]
+
+
+@pytest.mark.parametrize("command, flag, value", _BAD_VALUES)
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out.csv"
+    argv = [command] + [str(out) if a == _OUT else a for a in _BASE[command]]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:           # argparse: "nan" is not an int
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -12,13 +12,13 @@ import pytest
 
 import wavespeed
 from wavespeed.charfun import ModelParams
-from wavespeed.errors import DomainError, UnstableSimulationError
+from wavespeed.errors import DomainError
 from wavespeed.front_sim import (
     BirthFunction,
     SimConfig,
     _BLOCK,
-    _FLUSH,
     _blocked,
+    _stencils,
     fit_front_speed,
     front_position,
     make_state,
@@ -91,43 +91,45 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(length=50.0, init_width=60.0)
 
+    @pytest.mark.parametrize("field", ["length", "t_end", "kernel_half_width"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        # an infinite length, horizon or kernel reach cannot size a run
+        with pytest.raises(DomainError, match=field):
+            SimConfig(**{field: value})
+
 
 class TestResolveDt:
     def test_delay_is_integer_multiple(self):
-        cfg = SimConfig(length=50.0, dx=0.1)
-        dt, n_delay = resolve_dt(cfg, h=1.0)
+        dt, n_delay = resolve_dt(h=1.0)
         assert n_delay == 10
         assert abs(dt - 0.1) < 1e-15
         assert abs(dt * n_delay - 1.0) < 1e-12
 
     def test_no_delay(self):
-        cfg = SimConfig(length=50.0, dx=0.1)
-        assert resolve_dt(cfg, h=0.0) == (0.1, 0)
+        assert resolve_dt(h=0.0) == (0.1, 0)
 
     def test_coarse_grid_snaps_to_delay(self):
         # h = 0.25 is not a multiple of 0.1: it takes 3 steps of 1/12,
         # whatever the grid (the substeps live inside the stencils)
-        for dx in (0.1, 0.2):
-            dt, n_delay = resolve_dt(SimConfig(length=50.0, dx=dx), h=0.25)
-            assert n_delay == 3
-            assert abs(dt - 1.0 / 12.0) < 1e-15
+        dt, n_delay = resolve_dt(h=0.25)
+        assert n_delay == 3
+        assert abs(dt - 1.0 / 12.0) < 1e-15
 
 
 class TestStencils:
     def test_nonnegative_with_unit_sum(self):
         # S, Pa and Pb are positive combinations of s1 powers whose
         # weights add up to exactly 1, so equilibria cannot drift
-        g = BirthFunction.nicholson(2.0)
         for dx in (0.1, 0.2, 0.5):
             for h in (0.0, 0.25, 1.0):
-                cfg = SimConfig(length=50.0, dx=dx)
-                state = make_state(cfg, ModelParams(p=2.0, h=h),
-                                   DiracKernel(), g)
-                m = math.ceil(state.dt / (0.45 * dx * dx) - 1e-12)
-                for stencil in (state.s, state.pa, state.pb):
+                dt, _ = resolve_dt(h)
+                stencils = _stencils(dt, dx)
+                m = math.ceil(dt / (0.45 * dx * dx) - 1e-12)
+                for stencil in stencils:
                     assert stencil.size == 2 * m + 1
                     assert np.all(stencil >= 0.0)
-                total = math.fsum(np.concatenate([state.s, state.pa, state.pb]))
+                total = math.fsum(np.concatenate(stencils))
                 assert abs(total - 1.0) <= 1e-15, (dx, h, total)
 
 
@@ -159,30 +161,34 @@ class TestBlockedOperator:
 
     def test_stencils_match_direct_convolution(self):
         rng = np.random.default_rng(8)
-        cfg = SimConfig(length=400.0, dx=0.1)
-        state = make_state(cfg, ModelParams(p=2.0, h=1.0), DiracKernel(),
-                           BirthFunction.nicholson(2.0))
-        for stencil in (state.s, state.pa, state.pb):
+        for stencil in _stencils(0.1, 0.1):
             assert stencil.size == 47
             for n in (4001, 2 * _BLOCK, 3 * _BLOCK + 1):
                 self._check(stencil, n, "reflect", rng)
 
-    @pytest.mark.parametrize("operator", ["K", "S"])
+    @pytest.mark.parametrize("operator", ["K", "S", "Pb", "tiny"])
     def test_inputs_below_flush_read_as_zero(self, operator):
+        # each operator reads inputs below tiny / (its smallest weight)
+        # as zero, and never inputs above 2^-500, whatever its weights
         rng = np.random.default_rng(9)
-        state = make_state(SimConfig(length=400.0, dx=0.1),
-                           ModelParams(p=2.0, h=1.0), GaussianKernel(1.0),
-                           BirthFunction.nicholson(2.0))
-        stencil, mode = ((state.weights, "edge") if operator == "K"
-                         else (state.s, "reflect"))
+        s, _, pb = _stencils(0.1, 0.1)
+        stencil, mode = {
+            "K": (GaussianKernel(1.0).discrete_weights(0.1, 10.0)[1], "edge"),
+            "S": (s, "reflect"),
+            "Pb": (pb, "reflect"),
+            "tiny": (np.array([1e-300, 0.0, 1.0 - 2e-300, 0.0, 1e-300]), "edge"),
+        }[operator]
+        flush = min(np.finfo(float).tiny / stencil[stencil > 0.0].min(),
+                    2.0 ** -500)
+        assert (flush == 2.0 ** -500) == (operator == "tiny")
         n = 4001
         gather = np.pad(np.arange(n), stencil.size // 2, mode=mode)
-        # a normal bulk, then a tail that decays through _FLUSH into the
-        # subnormals, with exact zeros and _FLUSH itself in between
+        # a normal bulk, then a tail that decays through the flush level
+        # into the subnormals, with exact zeros and that level in between
         v = rng.random(n) * (rng.random(n) < 0.9)
         v[2000:] *= np.logspace(0.0, -330.0, n - 2000)
-        v[rng.integers(2000, n, 50)] = _FLUSH
-        below = v < _FLUSH
+        v[rng.integers(2000, n, 50)] = flush
+        below = v < flush
         assert np.count_nonzero(below & (v > 0.0)) > 100
         assert not _is_normal_or_zero(v)
         kept = np.where(below, 0.0, v)
@@ -192,7 +198,8 @@ class TestBlockedOperator:
         assert np.array_equal(v, before)            # the caller's field
         assert np.array_equal(out == 0.0, ref == 0.0)
         assert np.all(np.abs(out - ref) <= 1e-14 * ref)
-        assert _is_normal_or_zero(out)
+        if operator != "tiny":
+            assert _is_normal_or_zero(out)
 
 
 class TestFrontPosition:
@@ -278,15 +285,23 @@ class TestStepping:
             step(state, g)
         assert np.max(np.abs(state.u - g.equilibrium)) < 1e-12
 
-    def test_instability_guard_trips(self):
-        cfg = SimConfig(length=20.0, dx=0.5, t_end=1.0, init_width=5.0)
-        params = ModelParams(p=2.0, h=0.0)
-        g = BirthFunction.capped_linear(2.0)
-        state = make_state(cfg, params, DiracKernel(), g)
-        state.u[:] = 100.0  # far above 10x equilibrium
-        with pytest.raises(UnstableSimulationError):
-            for _ in range(5):
-                step(state, g)
+    def test_nicholson_overshoot_stays_bounded(self):
+        # a Nicholson population overshoots ln p far behind a fast front
+        # (here past 10x); the positive step keeps u within [0, sup g],
+        # sup g = p/e, so the run completes without clamping
+        cfg = SimConfig(t_end=20.0)
+        params = ModelParams(p=400.0, h=2.0)
+        g = BirthFunction.nicholson(400.0)
+        result = run(cfg, params, GaussianKernel(1.0), g)
+        assert len(result.front) == 201
+        assert result.clamp_events == 0
+        state = make_state(cfg, params, GaussianKernel(1.0), g)
+        top = 0.0
+        for _ in range(200):
+            step(state, g)
+            assert state.u.min() >= 0.0
+            top = max(top, float(state.u.max()))
+        assert 10.0 * g.equilibrium < top <= 400.0 / math.e
 
 
 class TestRun:
@@ -404,6 +419,20 @@ def test_a9_fields_hold_no_subnormal():
     assert 0.0 < state.u[state.u > 0.0].min() < 2.0 ** -900
 
 
+def test_fine_grid_fields_hold_no_subnormal():
+    # at dx = 0.05 the stencils' smallest weights are 2^-103 (S) and
+    # 2^-119 (Pb); a fixed 2^-960 flush let up to 22 subnormal cells back
+    # into u within 300 steps, a per-operator one lets none
+    g = BirthFunction.nicholson(2.0)
+    state = make_state(SimConfig(length=400.0, dx=0.05, t_end=30.0),
+                       ModelParams(p=2.0, h=1.0), GaussianKernel(1.0), g)
+    for n in range(300):
+        step(state, g)
+        assert _is_normal_or_zero(state.u), n
+        assert _is_normal_or_zero(state.forcing), n
+    assert 0.0 < state.u[state.u > 0.0].min() < 2.0 ** -1000
+
+
 class TestFlushPin:
     """Both A9 front traces at t_end = 30, sampled at t = 0, 1, .., 30
     and recorded as float hex before inputs below _FLUSH were read as
@@ -490,15 +519,15 @@ def _scheme_speed(cfg, params, kernel):
     at N = 0 the predictor gives rho in closed form.  Then c*_Delta =
     min over lam of ln(rho)/(lam Delta).
     """
-    state = make_state(cfg, params, kernel, BirthFunction.nicholson(params.p))
+    dt, n = resolve_dt(params.h)
+    stencils = _stencils(dt, cfg.dx)
     offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
-    half = state.s.size // 2
+    half = stencils[0].size // 2
     taps = np.arange(-half, half + 1) * cfg.dx
-    n = state.n_delay
 
     def rho(lam):
         s_hat, a_hat, b_hat = (float(np.sum(st * np.exp(lam * taps)))
-                               for st in (state.s, state.pa, state.pb))
+                               for st in stencils)
         pm = params.p * float(np.sum(weights * np.exp(lam * offsets * cfg.dx)))
         if n == 0:
             return s_hat + pm * a_hat + pm * b_hat * (s_hat + pm * (a_hat + b_hat))
@@ -511,7 +540,7 @@ def _scheme_speed(cfg, params, kernel):
                    if abs(r.imag) <= 1e-9 * abs(r))
 
     def speed(lam):
-        return math.log(rho(lam)) / (lam * state.dt)
+        return math.log(rho(lam)) / (lam * dt)
 
     grid = np.linspace(0.05, 3.0, 60)
     i = int(np.argmin([speed(lam) for lam in grid]))

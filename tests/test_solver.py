@@ -1,5 +1,6 @@
 """Critical-point solver, seed equation, cubic fast path, continuation."""
 
+import gc
 import math
 import random
 
@@ -13,6 +14,7 @@ from wavespeed import solver
 from wavespeed.bounds import bound_window
 from wavespeed.charfun import ModelParams, critical_point, psi_eval
 from wavespeed.errors import (
+    ConvergenceError,
     CubicRootError,
     DegenerateCubicError,
     DomainError,
@@ -448,6 +450,57 @@ class TestContinueOde:
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
         with pytest.raises(DomainError):
             continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=0)
+
+    @staticmethod
+    def _failing_stages(monkeypatch, fails):
+        """Make the w0 lookups numbered in `fails` (from 0) raise."""
+        calls = []
+        true_w0 = solver._w0_on_curve
+
+        def w0(*args):
+            calls.append(args)
+            if len(calls) - 1 in fails:
+                raise ConvergenceError("injected stage failure")
+            return true_w0(*args)
+        monkeypatch.setattr(solver, "_w0_on_curve", w0)
+        return calls
+
+    def test_stage_failure_halves_the_step(self, monkeypatch):
+        # the first step's second stage fails once: that step is taken as
+        # two half steps, and the samples stay on the same h grid
+        seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
+        plain = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+        calls = self._failing_stages(monkeypatch, {1})
+        halved = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+        assert halved.h == plain.h
+        assert [h for _, _, h, _ in calls[:6]] == [1.0, 1.05, 1.025, 1.025,
+                                                   1.05, 1.05]
+        # two RK4 half steps land closer to the direct solve than one step
+        direct = solve_critical(ModelParams(p=2.0, h=1.1), GAUSS1).eps0
+        assert abs(halved.eps0[1] - direct) < abs(plain.eps0[1] - direct)
+        for a, b in zip(halved.eps0, plain.eps0):
+            assert rel(a, b) < 1e-6
+
+    def test_persistent_stage_failure_gives_up(self, monkeypatch):
+        # the step, its first half, quarter, eighth and sixteenth all fail
+        seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
+        calls = self._failing_stages(monkeypatch, set(range(1000)))
+        with pytest.raises(ConvergenceError, match="after 4 step halvings"):
+            continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+        assert len(calls) == 5
+
+    def test_leaves_no_reference_cycle(self):
+        # the stage memo and the closures over it are freed on return by
+        # reference counting; the cyclic collector finds nothing after
+        seed = solve_critical(ModelParams(p=2.0, h=1.0), UniformKernel(1.0))
+        gc.collect()
+        gc.disable()
+        try:
+            continue_ode(2.0, UniformKernel(1.0), 1.0, seed.eps0, 2.0,
+                         steps=20)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSweepDirect:
