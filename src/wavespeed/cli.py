@@ -372,10 +372,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = ModelParams(p=args.p, h=args.h)
-    if args.birth == "nicholson":
-        g = BirthFunction.nicholson(args.p)
-    else:
-        g = BirthFunction.capped_linear(args.p, args.cap)
+    # BirthFunction checks --cap whichever law reads it
+    kind = "nicholson" if args.birth == "nicholson" else "capped-linear"
+    g = BirthFunction(kind, args.p, args.cap)
     cfg = SimConfig(length=args.length, dx=args.dx, t_end=args.t_end,
                     threshold_frac=args.threshold_frac,
                     init_width=args.init_width,

@@ -11,17 +11,17 @@ monotone 1-D problems instead of a 2-D Newton iteration:
   * outer: eps -> min_z psi(z, eps) is strictly increasing (psi_eps > 0
     for z > 0), and the explicit bound window [1/upper^2, 1/lower^2]
     from the bounds module brackets its root, so solve_critical bisects
-    on its sign.  Every sign it needs comes from the enclosure
-    psi - psi_z^2/(4*eps) <= min psi <= psi at a warm z, one psi_eval
-    each, with a cold min_psi only when that cannot decide: the bracket
-    ends, a few safeguarded Newton steps on eps (slope psi_eps) that
-    certify a below point a and an above point b a few 1e-13 apart
-    around the root, and the midpoints inside (a, b).  The bisection
-    replays every midpoint outside (a, b) without evaluating.  So the
-    decisions and the result equal those of a cold min_psi at every
-    bracket end and midpoint.  The window is inflated by one part in
-    1e9 because for the point-mass kernel at h in {0, 1} the window
-    degenerates to a point.
+    on its sign.  First a few safeguarded Newton steps on eps (slope
+    psi_eps) certify a below point a and an above point b a few 1e-13
+    apart around the root, which by monotonicity also sign the window
+    ends; only an end left uncertified is evaluated.  The bisection
+    replays every midpoint outside (a, b) without evaluating.  Each sign
+    comes from the enclosure psi - psi_z^2/(4*eps) <= min psi <= psi at
+    a warm z, one psi_eval each, or from a cold min_psi when that cannot
+    decide, so the decisions and the result equal those of a cold
+    min_psi at every bracket end and midpoint.  The window is inflated
+    by one part in 1e9 because for the point-mass kernel at h in {0, 1}
+    the window degenerates to a point.
 
 The tolerances are fixed (DEFAULT_CONFIG): eps to 1e-12 relative,
 |psi_z| <= 1e-13 inside min_psi, and |psi|, |psi_z| <= 1e-9 at eps0.
@@ -234,84 +234,102 @@ def _min_psi_sign(eps: float, z: float, params: ModelParams,
 
     The sign comes from the enclosure of _enclosed_sign, as +-1.0; each
     evaluation moves z one Newton step towards the minimizer, which also
-    warms the next call.  When _SIGN_TRIES evaluations cannot decide, or
-    one overflows, the cold min_psi(eps)[1] itself is returned, so every
-    comparison of the result with 0.0 equals the cold one.
+    warms the next call.  When _SIGN_TRIES evaluations cannot decide,
+    one overflows, or one leaves undecided with its enclosure gap
+    psi_z^2/(4*eps) already within tau (so only rounding is left, and
+    another step cannot clear it), the cold min_psi(eps)[1] itself is
+    returned, so every comparison of the result with 0.0 equals the cold
+    one.
     """
     for _ in range(_SIGN_TRIES):
         try:
             ev = psi_eval(z, eps, params, kernel)
         except MgfOverflowError:
             break
-        above, _ = _enclosed_sign(ev, z, eps)
+        above, tau = _enclosed_sign(ev, z, eps)
         z = _newton_z(ev, z)
         if above is not None:
             return (1.0 if above else -1.0), z
+        if ev.dz * ev.dz / (4.0 * eps) <= tau:
+            break
     z, f = min_psi(eps, params, kernel)
     return f, z
 
 
-def _eps_bracket(params: ModelParams,
-                 kernel: Kernel) -> tuple[float, float, float]:
-    """Eps bracket (lo, z_lo, hi): min_psi(lo)[1] < 0 < min_psi(hi)[1].
+def _window_end(eps: float, factor: float, params: ModelParams,
+                kernel: Kernel) -> float:
+    """A window end whose cold min_psi sign is checked, moved if needed.
 
-    It starts from the explicit bound window, inflated by one part in
-    1e9, and halves lo or doubles hi (up to 8 times) until the signs
-    straddle 0.  Each sign is that of a cold min_psi, taken through
-    _min_psi_sign: the lower end starts at z = 1, where the cold search
-    starts, and every other end at the previous z rescaled to keep
-    w = sqrt(eps)*z.  z_lo is the warm z at lo, not its minimizer.
+    factor 0.5 asks for a lower end (min_psi(eps)[1] < 0), 2.0 for an
+    upper end (> 0); eps is multiplied by factor up to 8 times until the
+    sign is right.  Each sign is that of a cold min_psi, taken through
+    _min_psi_sign from w = sqrt(eps)*z = 1, a w kept by every move.
+    """
+    z = 1.0 / math.sqrt(eps)
+    for _ in range(9):
+        f, z = _min_psi_sign(eps, z, params, kernel)
+        if (f > 0.0) if factor > 1.0 else (f < 0.0):
+            return eps
+        eps *= factor
+        z /= math.sqrt(factor)
+    raise BracketError(
+        f"psi_min has no sign change over eps up to {eps / factor:g}")
+
+
+def _eps_bracket(params: ModelParams,
+                 kernel: Kernel) -> tuple[float, float, float, float, float]:
+    """Eps bracket (lo, a, b, hi, z): lo <= a < b <= hi around eps0.
+
+    a is below (min_psi(a)[1] < 0) and b above (> 0), and so, as
+    psi_min increases in eps, is every eps <= a and every eps >= b; z is
+    a warm iterate near eps0.  lo and hi start as the explicit bound
+    window, inflated by one part in 1e9, and _certified_bracket runs on
+    it first.  A certified a >= lo proves the lower end's sign, and a
+    certified b <= hi the upper end's, so no end is evaluated then.  An
+    end that stays uncertified takes its sign from _window_end, which
+    halves lo or doubles hi as needed, and serves as a or b itself.  The
+    window therefore equals that of checking both ends cold.
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
         raise BracketError(
             f"bound window [{lower:g}, {upper:g}] is invalid; "
             "this indicates a bug, not bad input")
-    eps_lo = (1.0 - 1e-9) / (upper * upper)
-    eps_hi = (1.0 + 1e-9) / (lower * lower)
-
-    f_lo, z_lo = _min_psi_sign(eps_lo, 1.0, params, kernel)
-    for _ in range(8):
-        if f_lo < 0.0:
-            break
-        eps_lo *= 0.5
-        f_lo, z_lo = _min_psi_sign(eps_lo, z_lo * math.sqrt(2.0), params,
-                                   kernel)
-    z = z_lo * math.sqrt(eps_lo / eps_hi)
-    f_hi, z = _min_psi_sign(eps_hi, z, params, kernel)
-    for _ in range(8):
-        if f_hi > 0.0:
-            break
-        eps_hi *= 2.0
-        f_hi, z = _min_psi_sign(eps_hi, z * math.sqrt(0.5), params, kernel)
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"psi_min has no sign change over eps in [{eps_lo:g}, {eps_hi:g}]")
-    return eps_lo, z_lo, eps_hi
+    lo = (1.0 - 1e-9) / (upper * upper)
+    hi = (1.0 + 1e-9) / (lower * lower)
+    a, b, z = _certified_bracket(lo, hi, params, kernel)
+    if a is None:
+        a = lo = _window_end(lo, 0.5, params, kernel)
+    if b is None:
+        b = hi = _window_end(hi, 2.0, params, kernel)
+    return lo, a, b, hi, z
 
 
-def _certified_bracket(lo: float, hi: float, z: float, params: ModelParams,
-                       kernel: Kernel) -> tuple[float, float, float]:
+def _certified_bracket(
+        lo: float, hi: float, params: ModelParams, kernel: Kernel
+) -> tuple[Optional[float], Optional[float], float]:
     """Certify a below point a and an above point b near eps0; return (a, b, z).
 
-    Safeguarded Newton on eps -> psi_min(eps), started at lo with z a
-    warm iterate there, not necessarily the minimizer.  Each evaluation
-    estimates psi_min ~ psi - psi_z^2/(2*psi_zz), with slope psi_eps,
-    and moves z one Newton step.
+    Safeguarded Newton on eps -> psi_min(eps) inside the window
+    [lo, hi], whose ends' signs are not known, started at lo with
+    w = sqrt(eps)*z = 1.  Each evaluation estimates psi_min ~ psi -
+    psi_z^2/(2*psi_zz), with slope psi_eps, and moves z one Newton step.
     Where the evaluation's enclosure clears rounding (_enclosed_sign),
     eps becomes a (a cold min_psi(eps)[1] < 0) or b (> 0); psi_min
     increases in eps, so every eps <= a is below and every eps >= b
     above.  While z is too far off for that estimate (the psi_z^2 term
     outweighs psi) the next evaluation stays at eps.  Otherwise eps aims
-    a band past the Newton root, on the side whose certified end is
-    farther from it, where psi clears tau twice over; an iterate outside
-    (a, b) bisects instead.  w = sqrt(eps)*z, which moves little with
-    eps, follows the secant of its last two estimates.  The ends only
-    ever shrink from (lo, hi), which is itself a valid answer.
+    a band past the Newton root, where psi clears tau twice over, on the
+    side whose end is farther from it; an uncertified end is the window
+    end, which lies far out, so this aims at the uncertified side.  An
+    iterate outside the ends bisects instead.  w, which moves little
+    with eps, follows the secant of its last two estimates, unless that
+    would halve or double it.  An end left uncertified is None.
     """
-    a, b = lo, hi
+    a = b = None
     eps = eps_prev = lo
-    w_prev = math.sqrt(lo) * z
+    z = 1.0 / math.sqrt(lo)
+    w_prev = 1.0
     for _ in range(_BRACKET_TRIES):
         try:
             ev = psi_eval(z, eps, params, kernel)
@@ -328,19 +346,21 @@ def _certified_bracket(lo: float, hi: float, z: float, params: ModelParams,
         drop = 0.5 * ev.dz * ev.dz / ev.dzz
         band = (2.0 * (tau + DEFAULT_CONFIG.inner_tol ** 2 / (4.0 * eps))
                 / ev.deps)
-        if b - a <= max(DEFAULT_CONFIG.eps_rel_tol * b, 4.0 * band):
+        left = lo if a is None else a
+        right = hi if b is None else b
+        if right - left <= max(DEFAULT_CONFIG.eps_rel_tol * right, 4.0 * band):
             break
         if drop > 0.5 * abs(ev.value):
             continue
         root = eps - (ev.value - drop) / ev.deps
-        nxt = root + band if b - root > root - a else root - band
-        if not a < nxt < b:
-            nxt = 0.5 * (a + b)
+        nxt = root + band if right - root > root - left else root - band
+        if not left < nxt < right:
+            nxt = 0.5 * (left + right)
         w = math.sqrt(eps) * z
         dw = (w - w_prev) / (eps - eps_prev) if eps != eps_prev else 0.0
         guess = w + dw * (nxt - eps)
         eps_prev, w_prev, eps = eps, w, nxt
-        if not (math.isfinite(guess) and guess > 0.0):
+        if not w / 2.0 < guess < w * 2.0:
             guess = w
         z = guess / math.sqrt(eps)
     return a, b, z
@@ -352,21 +372,21 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
     The initial eps bracket comes from the explicit bound window; the
     window is guaranteed (strictly for spread-out kernels, degenerately
     for the point mass) to contain 1/c*^2, and psi_min is strictly
-    increasing in eps, so bisection cannot fail.  A few Newton steps on
-    eps certify a below point a and an above point b a few 1e-13
-    (relative) either side of eps0 (_certified_bracket), and the
-    bisection replays every midpoint <= a as below and >= b as above
-    with no evaluation.  The bracket ends and each midpoint inside
-    (a, b) take their signs from a warm Newton iterate z whenever the
-    enclosure of psi_min at z clears rounding, and from a cold min_psi
-    otherwise (_min_psi_sign); eps0 gets a cold min_psi.  Every decision
-    equals the cold one, so the result is that of bisection with a cold
-    min_psi at every bracket end and midpoint.
+    increasing in eps, so bisection cannot fail.  First a few Newton
+    steps on eps certify a below point a and an above point b a few
+    1e-13 (relative) either side of eps0 (_certified_bracket); they
+    also prove the window ends' signs, and only an end left uncertified
+    is evaluated (_eps_bracket).  The bisection replays every midpoint
+    <= a as below and >= b as above with no evaluation.  Each midpoint
+    inside (a, b) takes its sign from a warm Newton iterate z whenever
+    the enclosure of psi_min at z clears rounding, and from a cold
+    min_psi otherwise (_min_psi_sign); eps0 gets a cold min_psi.  Every
+    decision equals the cold one, so the result is that of bisection
+    with a cold min_psi at every bracket end and midpoint.
     The returned point carries residuals and the positivity certificate
     (psi_zz, psi_eps); residuals above 1e-9 raise ConvergenceError.
     """
-    lo, z_lo, hi = _eps_bracket(params, kernel)
-    below, above, z = _certified_bracket(lo, hi, z_lo, params, kernel)
+    lo, below, above, hi, z = _eps_bracket(params, kernel)
     for _ in range(DEFAULT_CONFIG.max_bisect):
         if hi - lo <= DEFAULT_CONFIG.eps_rel_tol * hi:
             break

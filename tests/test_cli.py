@@ -304,6 +304,10 @@ _BASE = {
                  "--t-end", "2", "--init-width", "5",
                  "--kernel-half-width", "2", "--out", _OUT],
 }
+# --cap is checked whatever the birth law; the part of a key after ":"
+# names a variant of the command's base line
+_BASE["simulate:nicholson"] = [
+    "nicholson" if a == "capped" else a for a in _BASE["simulate"]]
 _OUT_OF_RANGE = {
     "speed": {"--p": "1", "--h": "-1"},
     "bounds": {"--p": "1", "--h": "-1"},
@@ -313,6 +317,7 @@ _OUT_OF_RANGE = {
     "simulate": {"--p": "1", "--h": "-1", "--cap": "0", "--length": "1",
                  "--dx": "0", "--t-end": "0", "--threshold-frac": "1",
                  "--init-width": "0", "--kernel-half-width": "0"},
+    "simulate:nicholson": {"--cap": "-1"},
 }
 _BAD_VALUES = [(command, flag, value)
                for command, flags in _OUT_OF_RANGE.items()
@@ -323,7 +328,8 @@ _BAD_VALUES = [(command, flag, value)
 @pytest.mark.parametrize("command, flag, value", _BAD_VALUES)
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out.csv"
-    argv = [command] + [str(out) if a == _OUT else a for a in _BASE[command]]
+    argv = ([command.partition(":")[0]]
+            + [str(out) if a == _OUT else a for a in _BASE[command]])
     if flag in argv:
         argv[argv.index(flag) + 1] = value
     else:

@@ -227,19 +227,19 @@ class TestSolveCritical:
                 _bisect_reference(params, kernel), (params, kernel)
 
     @pytest.mark.parametrize("kernel, h, budget, cold", [
-        pytest.param(GAUSS1, 1.0, 18, 1, id="kernel0"),
-        pytest.param(UniformKernel(1.0), 1.0, 18, 1, id="kernel1"),
-        pytest.param(GAUSS1, 50.0, 30, 1, id="gauss-h50"),
-        pytest.param(DiracKernel(), 1.0, 24, 2, id="dirac-h1"),
+        pytest.param(GAUSS1, 1.0, 14, 1, id="kernel0"),
+        pytest.param(UniformKernel(1.0), 1.0, 16, 1, id="kernel1"),
+        pytest.param(GAUSS1, 50.0, 25, 1, id="gauss-h50"),
+        pytest.param(DiracKernel(), 1.0, 19, 2, id="dirac-h1"),
     ])
     def test_midpoint_signs_need_few_evaluations(self, kernel, h, budget,
                                                  cold, monkeypatch):
         # a cold min_psi at each of the ~40 midpoints took 221 (Gaussian,
-        # h=1) and 252 (uniform) psi_eval calls.  These take 16, 16, 27
-        # (Gaussian, h=50) and 22 (Dirac): one or two warm evaluations
-        # per bracket end, a few Newton steps on eps, the one or two
-        # midpoints inside the certified bracket, and the final cold
-        # min_psi at eps0, the only cold one except for Dirac
+        # h=1) and 252 (uniform) psi_eval calls.  These take 13, 15, 24
+        # (Gaussian, h=50) and 18 (Dirac): a few Newton steps on eps,
+        # which also sign both window ends, the one or two midpoints
+        # inside the certified bracket, and the final cold min_psi at
+        # eps0, the only cold one except for Dirac
         calls, mins = [], []
 
         def counted(*args):
@@ -256,6 +256,51 @@ class TestSolveCritical:
         assert len(calls) <= budget
         assert len(mins) == cold
         assert mins[-1] == cp.eps0
+
+    def test_mean_evaluations_per_solve(self, monkeypatch):
+        # 300 draws over the six families take 20.65 psi_eval calls per
+        # solve (25.92 when both window ends were evaluated); the bound
+        # leaves 0.35 of margin
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return psi_eval(*args)
+
+        monkeypatch.setattr(solver, "psi_eval", counted)
+        rng = random.Random("work-count")
+        for i in range(300):
+            kernel = make_kernel(FAMILIES[i % 6], log_uniform(rng, 0.1, 5.0))
+            h = 0.0 if rng.random() < 0.1 else log_uniform(rng, 1e-3, 5.0)
+            params = ModelParams(p=1.0 + log_uniform(rng, 1e-2, 10.0), h=h)
+            solve_critical(params, kernel)
+        assert len(calls) / 300 <= 21.0
+
+    @pytest.mark.parametrize("tries", (0, 1))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_uncertified_window_ends_are_evaluated(self, family, tries,
+                                                   monkeypatch):
+        # with one Newton evaluation only the lower end can be certified,
+        # with none neither; an end left uncertified takes the cold check
+        # with its halvings or doublings, and every midpoint between the
+        # proven ends is evaluated, yet each decision stays the cold one
+        ends = []
+
+        def counted_end(*args):
+            ends.append(args)
+            return window_end(*args)
+
+        window_end = solver._window_end
+        monkeypatch.setattr(solver, "_BRACKET_TRIES", tries)
+        monkeypatch.setattr(solver, "_window_end", counted_end)
+        rng = random.Random(f"uncertified-{family}")
+        for _ in range(8):
+            kernel = make_kernel(family, log_uniform(rng, 0.1, 5.0))
+            h = 0.0 if rng.random() < 0.1 else log_uniform(rng, 1e-3, 5.0)
+            params = ModelParams(p=1.0 + log_uniform(rng, 1e-2, 10.0), h=h)
+            assert solve_critical(params, kernel) == \
+                _bisect_reference(params, kernel), (params, kernel)
+        assert len(ends) >= 8 * (2 - tries)
 
     @pytest.mark.parametrize("kernel, p, h", [
         # min_psi meets psi_z = nan here; taken as negative, it moved the
@@ -303,9 +348,10 @@ class TestSolveCritical:
 
 def assert_cold_signs(params, kernel):
     # solve_critical replays every midpoint <= below as below and every
-    # midpoint >= above as above; a cold min_psi must agree at both ends
-    lo, z_lo, hi = solver._eps_bracket(params, kernel)
-    below, above, _ = solver._certified_bracket(lo, hi, z_lo, params, kernel)
+    # midpoint >= above as above, and takes the window ends' signs from
+    # them unless an end stayed uncertified; a cold min_psi must agree at
+    # both
+    lo, below, above, hi, _ = solver._eps_bracket(params, kernel)
     assert lo <= below < above <= hi
     assert min_psi(below, params, kernel)[1] < 0.0
     assert min_psi(above, params, kernel)[1] > 0.0
