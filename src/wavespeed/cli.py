@@ -43,12 +43,7 @@ _CURVE_HEADER = ("h", "c_star", "lower_add", "lower_log", "upper_k1",
 def _fmt(value) -> str:
     if value is None:
         return ""
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return "%.12g" % v
+    return "%.12g" % float(value)
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -377,8 +372,7 @@ def cmd_simulate(args) -> int:
     g = BirthFunction(kind, args.p, args.cap)
     cfg = SimConfig(length=args.length, dx=args.dx, t_end=args.t_end,
                     threshold_frac=args.threshold_frac,
-                    init_width=args.init_width,
-                    kernel_half_width=args.kernel_half_width)
+                    init_width=args.init_width)
     reference = solve_critical(params, args.kernel).c_star
     result = run_sim(cfg, params, args.kernel, g, reference_speed=reference)
     print(f"fitted speed   = {_fmt(result.speed)}")
@@ -484,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-end", type=float, default=100.0)
     sp.add_argument("--threshold-frac", type=float, default=0.5)
     sp.add_argument("--init-width", type=float, default=20.0)
-    sp.add_argument("--kernel-half-width", type=float, default=10.0)
     sp.add_argument("--out", default=None, help="front trace CSV (t,x_front)")
     sp.set_defaults(func=cmd_simulate)
 

@@ -46,9 +46,12 @@ Fixed choices, none of them settable:
   * S, Pa and Pb use reflect padding (mirror ghosts on every substep);
     K uses edge replication.  The history holds u_{n-N}..u_n (N + 1
     slices), pre-filled with the initial condition (constant history).
-  * The run stops two cells before the stencils' reach of the right
-    edge (the largest of kernel_half_width, the discrete kernel's
-    half-width, which atom kernels may exceed, and m cells).
+  * K is discretized out to the kernel's own reach (see
+    Kernel.discrete_weights), so the grid convolves with the kernel the
+    solver solves for.  The run stops two cells before the widest
+    stencil (K or the m-cell S, Pa, Pb) reaches the right edge; stencils
+    that reach across the whole domain are refused before any operator
+    is built.
   * Nothing checks the field's size: S, Pa and Pb are nonnegative with
     unit total weight and K has unit sum, so u never exceeds
     max(u_0, sup g), which is max(ln p, p/e) for Nicholson.
@@ -132,7 +135,6 @@ class SimConfig:
     t_end: float = 100.0
     threshold_frac: float = 0.5       # front threshold as fraction of equilibrium
     init_width: float = 20.0          # initial step occupies [0, init_width]
-    kernel_half_width: float = 10.0   # convolution truncation (space units)
 
     def __post_init__(self):
         if not (self.dx > 0.0 and math.isfinite(self.dx)):
@@ -148,10 +150,6 @@ class SimConfig:
                 f"threshold_frac must lie in (0,1), got {self.threshold_frac}")
         if not (0.0 < self.init_width < self.length):
             raise DomainError("init_width must lie inside the domain")
-        if not (math.isfinite(self.kernel_half_width)
-                and self.kernel_half_width > 0.0):
-            raise DomainError(f"kernel_half_width must be finite and positive, "
-                              f"got {self.kernel_half_width}")
 
 
 @dataclass
@@ -262,12 +260,21 @@ def _blocked(stencil: np.ndarray, gather: np.ndarray):
 
 def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
                g: BirthFunction) -> SimState:
-    """Allocate the grid, build the stencils, pre-fill the history."""
+    """Allocate the grid, build the stencils, pre-fill the history.
+
+    Raises DomainError, before any blocked operator is built, when the
+    widest stencil plus two cells reaches across the whole domain.
+    """
     cells = np.arange(int(round(cfg.length / cfg.dx)) + 1)
     u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
     dt, n_delay = resolve_dt(params.h)
     s, pa, pb = _stencils(dt, cfg.dx)
-    _, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
+    _, weights = kernel.discrete_weights(cfg.dx)
+    reach = max(weights.size, s.size) // 2
+    if reach + 2 >= cells.size - 1:
+        raise DomainError(
+            f"the stencils reach {reach * cfg.dx:g} units per side, which "
+            f"leaves no room on a {cfg.length:g}-unit domain; lengthen it")
     reflect = np.pad(cells, s.size // 2, mode="reflect")
     apply_k = _blocked(weights, np.pad(cells, weights.size // 2, mode="edge"))
     history = deque(u0.copy() for _ in range(n_delay))
@@ -275,8 +282,7 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     return SimState(u=u0, history=history, forcing=apply_k(g(history[0])),
                     apply_s=_blocked(s, reflect), apply_pa=_blocked(pa, reflect),
                     apply_pb=_blocked(pb, reflect), apply_k=apply_k,
-                    dt=dt, n_delay=n_delay,
-                    reach=max(weights.size, s.size) // 2)
+                    dt=dt, n_delay=n_delay, reach=reach)
 
 
 def step(state: SimState, g: BirthFunction) -> SimState:
@@ -348,8 +354,7 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
             f"birth function slope {g.p:g} disagrees with params.p {params.p:g}")
     state = make_state(cfg, params, kernel, g)
     theta = cfg.threshold_frac * g.equilibrium
-    reach = max(cfg.kernel_half_width, state.reach * cfg.dx)
-    stop_x = cfg.length - reach - 2.0 * cfg.dx
+    stop_x = cfg.length - state.reach * cfg.dx - 2.0 * cfg.dx
     times = [0.0]
     fronts = [front_position(state.u, cfg.dx, theta)]
     if fronts[0] >= stop_x:

@@ -115,24 +115,14 @@ class Kernel(ABC):
         """Smallest S with K supported in [-S, S]; inf if none."""
         return math.inf
 
-    def discrete_weights(self, dx: float, half_width: float):
+    @abstractmethod
+    def discrete_weights(self, dx: float):
         """Discretize K on a grid of spacing dx for convolution.
 
         Returns (offsets, weights): integer grid offsets -W..W and
-        nonnegative weights renormalized to unit sum.  The default
-        implementation samples the density; atom variants and the box
-        override.
+        nonnegative weights renormalized to unit sum.  Each variant sets
+        its own reach W, which the simulator's stop line follows.
         """
-        _require(dx > 0.0, f"dx must be positive, got {dx}")
-        _require(half_width > 0.0, f"half_width must be positive, got {half_width}")
-        cut = min(half_width, self.support_radius() + dx)
-        nw = max(1, int(math.ceil(cut / dx)))
-        offsets = np.arange(-nw, nw + 1)
-        weights = np.array([self.density(j * dx) for j in offsets], dtype=float)
-        total = weights.sum()
-        if not total > 0.0:
-            raise DomainError("kernel discretization has no mass; widen half_width")
-        return offsets, weights / total
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -165,6 +155,15 @@ class GaussianKernel(Kernel):
 
     def density(self, s: float) -> float:
         return math.exp(-s * s / (4.0 * self.alpha)) / math.sqrt(4.0 * math.pi * self.alpha)
+
+    def discrete_weights(self, dx: float):
+        """Density samples out to 10*sqrt(alpha), where the density has
+        fallen to e^-25 of its peak (201 taps for alpha = 1, dx = 0.1)."""
+        _require(dx > 0.0, f"dx must be positive, got {dx}")
+        nw = max(1, int(math.ceil(10.0 * math.sqrt(self.alpha) / dx)))
+        offsets = np.arange(-nw, nw + 1)
+        weights = np.array([self.density(j * dx) for j in offsets], dtype=float)
+        return offsets, weights / weights.sum()
 
     def spec_string(self) -> str:
         return f"gaussian:alpha={self.alpha:g}"
@@ -229,22 +228,19 @@ class UniformKernel(Kernel):
     def support_radius(self) -> float:
         return self.a
 
-    def discrete_weights(self, dx: float, half_width: float):
+    def discrete_weights(self, dx: float):
         """Cell averages |[j dx - dx/2, j dx + dx/2] cap [-a, a]| / dx.
 
         Sampling the density would keep both endpoints at full weight
         (second moment 0.367 instead of 1/3 for a = 1 at dx 0.1); the
-        cell averages keep the box's moments to O(dx^2).  A box wider
-        than half_width is cut there.
+        cell averages keep the box's moments to O(dx^2).
         """
         _require(dx > 0.0, f"dx must be positive, got {dx}")
-        _require(half_width > 0.0, f"half_width must be positive, got {half_width}")
-        reach = min(self.a, half_width)
-        nw = int(math.ceil(reach / dx - 0.5 - 1e-9))
+        nw = int(math.ceil(self.a / dx - 0.5 - 1e-9))
         offsets = np.arange(-nw, nw + 1)
         cells = offsets * dx
-        weights = (np.minimum(cells + 0.5 * dx, reach)
-                   - np.maximum(cells - 0.5 * dx, -reach))
+        weights = (np.minimum(cells + 0.5 * dx, self.a)
+                   - np.maximum(cells - 0.5 * dx, -self.a))
         return offsets, weights / weights.sum()
 
     def spec_string(self) -> str:
@@ -284,7 +280,7 @@ class TwoPointKernel(Kernel):
     def support_radius(self) -> float:
         return self.a
 
-    def discrete_weights(self, dx: float, half_width: float):
+    def discrete_weights(self, dx: float):
         return _fold_atoms((self.a,), (1.0,), dx)
 
     def spec_string(self) -> str:
@@ -315,7 +311,7 @@ class DiracKernel(Kernel):
     def support_radius(self) -> float:
         return 0.0
 
-    def discrete_weights(self, dx: float, half_width: float):
+    def discrete_weights(self, dx: float):
         return _fold_atoms((0.0,), (1.0,), dx)
 
     def spec_string(self) -> str:
@@ -433,7 +429,7 @@ class TabulatedKernel(Kernel):
     def support_radius(self) -> float:
         return self._top
 
-    def discrete_weights(self, dx: float, half_width: float):
+    def discrete_weights(self, dx: float):
         return _fold_atoms(self._s, self._m, dx)
 
     def spec_string(self) -> str:
@@ -480,19 +476,18 @@ def _load_table(path: str) -> TabulatedKernel:
             lines = fh.readlines()
     except OSError as exc:
         raise DomainError(f"cannot read kernel table '{path}': {exc}") from exc
-    for idx, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    rows = [(no, raw.strip()) for no, raw in enumerate(lines, start=1)]
+    rows = [(no, line) for no, line in rows if line and not line.startswith("#")]
+    for k, (no, line) in enumerate(rows):
         cells = line.split(",")
         if len(cells) != 2:
-            raise DomainError(f"{path}:{idx + 1}: expected two columns 's,weight'")
+            raise DomainError(f"{path}:{no}: expected two columns 's,weight'")
         try:
             s_i, w_i = float(cells[0]), float(cells[1])
         except ValueError:
-            if idx == 0:
-                continue  # header row
-            raise DomainError(f"{path}:{idx + 1}: non-numeric row {line!r}") from None
+            if k == 0:
+                continue  # the optional header: first row past blanks and comments
+            raise DomainError(f"{path}:{no}: non-numeric row {line!r}") from None
         pos.append(s_i)
         wts.append(w_i)
     if not pos:

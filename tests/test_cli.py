@@ -220,7 +220,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--p", "2", "--h", "0",
                      "--kernel", "dirac", "--length", "80", "--dx", "0.2",
                      "--t-end", "10", "--init-width", "5",
-                     "--kernel-half-width", "2", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "fitted speed" in stdout
         lines = out.read_text().strip().split("\n")
@@ -235,8 +235,7 @@ class TestSimulateCommand:
         # convolution cannot line up with the grid
         assert main(["simulate", "--p", "2", "--h", "0",
                      "--kernel", "twopoint:a=1", "--length", "80",
-                     "--dx", "0.2", "--t-end", "2", "--init-width", "5",
-                     "--kernel-half-width", "2"]) == 0
+                     "--dx", "0.2", "--t-end", "2", "--init-width", "5"]) == 0
         assert "fitted speed" in capsys.readouterr().out
 
     def test_tabulated_kernel(self, tmp_path, capsys):
@@ -259,11 +258,10 @@ class TestSimulateCommand:
         assert float(fields["relative gap"]) < 0.05
 
     def test_rejects_start_past_stop_line(self, capsys):
-        # a 40-unit stencil on a 50-unit domain leaves no room to spread
+        # a 40-unit box on a 50-unit domain leaves no room to spread
         assert main(["simulate", "--p", "2", "--h", "0",
-                     "--kernel", "dirac", "--length", "50",
-                     "--init-width", "20", "--kernel-half-width", "40",
-                     "--t-end", "5"]) == 2
+                     "--kernel", "uniform:a=40", "--length", "50",
+                     "--init-width", "20", "--t-end", "5"]) == 2
         assert "stop line" in capsys.readouterr().err
 
 
@@ -301,8 +299,7 @@ _BASE = {
     "verify": ["--p", "2"],
     "simulate": ["--p", "2", "--h", "0", "--kernel", "dirac",
                  "--birth", "capped", "--length", "80", "--dx", "0.2",
-                 "--t-end", "2", "--init-width", "5",
-                 "--kernel-half-width", "2", "--out", _OUT],
+                 "--t-end", "2", "--init-width", "5", "--out", _OUT],
 }
 # --cap is checked whatever the birth law; the part of a key after ":"
 # names a variant of the command's base line
@@ -316,7 +313,7 @@ _OUT_OF_RANGE = {
     "verify": {"--p": "1"},
     "simulate": {"--p": "1", "--h": "-1", "--cap": "0", "--length": "1",
                  "--dx": "0", "--t-end": "0", "--threshold-frac": "1",
-                 "--init-width": "0", "--kernel-half-width": "0"},
+                 "--init-width": "0"},
     "simulate:nicholson": {"--cap": "-1"},
 }
 _BAD_VALUES = [(command, flag, value)
@@ -325,11 +322,23 @@ _BAD_VALUES = [(command, flag, value)
                for value in ("nan", "inf", out_of_range)]
 
 
+def _base_argv(command: str, out) -> list[str]:
+    return ([command.partition(":")[0]]
+            + [str(out) if a == _OUT else a for a in _BASE[command]])
+
+
+@pytest.mark.parametrize("command", sorted(_BASE))
+def test_base_line_exits_0(tmp_path, capsys, command):
+    # each bad value below replaces one flag of these lines; a line that
+    # failed as given would let every case pass for another reason
+    assert main(_base_argv(command, tmp_path / "out.csv")) == 0, \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag, value", _BAD_VALUES)
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out.csv"
-    argv = ([command.partition(":")[0]]
-            + [str(out) if a == _OUT else a for a in _BASE[command]])
+    argv = _base_argv(command, out)
     if flag in argv:
         argv[argv.index(flag) + 1] = value
     else:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import wavespeed
+from wavespeed import front_sim
 from wavespeed.charfun import ModelParams
 from wavespeed.errors import DomainError
 from wavespeed.front_sim import (
@@ -91,10 +92,10 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(length=50.0, init_width=60.0)
 
-    @pytest.mark.parametrize("field", ["length", "t_end", "kernel_half_width"])
+    @pytest.mark.parametrize("field", ["length", "t_end"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite(self, field, value):
-        # an infinite length, horizon or kernel reach cannot size a run
+        # an infinite length or horizon cannot size a run
         with pytest.raises(DomainError, match=field):
             SimConfig(**{field: value})
 
@@ -148,14 +149,15 @@ class TestBlockedOperator:
         assert np.array_equal(out == 0.0, ref == 0.0)
         assert np.all(np.abs(out - ref) <= 1e-14 * ref)
 
-    @pytest.mark.parametrize("kernel, dx, half_width", [
-        (DiracKernel(), 0.1, 10.0),          # 1 tap
-        (GaussianKernel(1.0), 0.1, 10.0),    # 201 taps
-        (TwoPointKernel(8.0), 0.2, 2.0),     # 81 taps, wider than S
-    ])
-    def test_kernel_matches_direct_convolution(self, kernel, dx, half_width):
+    # ids kept stable across versions of this test
+    @pytest.mark.parametrize("kernel, dx", [
+        (DiracKernel(), 0.1),          # 1 tap
+        (GaussianKernel(1.0), 0.1),    # 201 taps
+        (TwoPointKernel(8.0), 0.2),    # 81 taps, wider than S
+    ], ids=["kernel0-0.1-10.0", "kernel1-0.1-10.0", "kernel2-0.2-2.0"])
+    def test_kernel_matches_direct_convolution(self, kernel, dx):
         rng = np.random.default_rng(7)
-        _, weights = kernel.discrete_weights(dx, half_width)
+        _, weights = kernel.discrete_weights(dx)
         for n in (4001, 2001, 3 * _BLOCK, 5 * _BLOCK + 7):
             self._check(weights, n, "edge", rng)
 
@@ -173,7 +175,7 @@ class TestBlockedOperator:
         rng = np.random.default_rng(9)
         s, _, pb = _stencils(0.1, 0.1)
         stencil, mode = {
-            "K": (GaussianKernel(1.0).discrete_weights(0.1, 10.0)[1], "edge"),
+            "K": (GaussianKernel(1.0).discrete_weights(0.1)[1], "edge"),
             "S": (s, "reflect"),
             "Pb": (pb, "reflect"),
             "tiny": (np.array([1e-300, 0.0, 1.0 - 2e-300, 0.0, 1e-300]), "edge"),
@@ -322,8 +324,7 @@ class TestRun:
         assert result.front[-1] > result.front[0] + 5.0
 
     def test_delayed_kernel_run(self):
-        cfg = SimConfig(length=60.0, dx=0.25, t_end=8.0,
-                        kernel_half_width=5.0)
+        cfg = SimConfig(length=60.0, dx=0.25, t_end=8.0)
         params = ModelParams(p=2.0, h=0.5)
         result = run(cfg, params, GaussianKernel(1.0),
                      BirthFunction.nicholson(2.0))
@@ -335,8 +336,7 @@ class TestRun:
         # h = 0.1 is exactly one step, the same step as at h = 0; the
         # delayed front must lag (a history one slice short would read the
         # current field, which is no delay at all)
-        cfg = SimConfig(length=40.0, dx=0.1, t_end=5.0, init_width=5.0,
-                        kernel_half_width=3.0)
+        cfg = SimConfig(length=40.0, dx=0.1, t_end=5.0, init_width=5.0)
         g = BirthFunction.nicholson(2.0)
         delayed = run(cfg, ModelParams(p=2.0, h=0.1), GaussianKernel(1.0), g)
         now = run(cfg, ModelParams(p=2.0, h=0.0), GaussianKernel(1.0), g)
@@ -358,28 +358,44 @@ class TestRun:
         assert result.clamp_events == 0
 
     def test_boundary_stop(self):
-        # a domain too short for the horizon must stop early and say so
-        cfg = SimConfig(length=30.0, dx=0.2, t_end=50.0,
-                        kernel_half_width=2.0)
+        # a domain too short for the horizon must stop early and say so,
+        # two cells inside the widest stencil's reach: here the 13-cell
+        # diffusion stencil's 1.2 units
+        cfg = SimConfig(length=30.0, dx=0.2, t_end=50.0)
         params = ModelParams(p=2.0, h=0.0)
         result = run(cfg, params, DiracKernel(),
                      BirthFunction.nicholson(2.0))
         assert result.hit_boundary
         assert result.times[-1] < 50.0
+        stop_x = 30.0 - 1.2 - 0.4
+        assert result.front[-2] < stop_x + 1e-9
+        assert result.front[-1] > stop_x - 1e-9
         assert result.clamp_events == 0
 
     def test_atom_stencil_sets_stop_line(self):
-        # two-point a=8 on dx=0.2 convolves with offsets -40..40 (8 units)
-        # whatever kernel_half_width says; the run must stop before that
-        # stencil reaches the edge-replicated padding
-        cfg = SimConfig(length=200.0, dx=0.2, t_end=40.0, init_width=5.0,
-                        kernel_half_width=2.0)
+        # two-point a=8 on dx=0.2 convolves with offsets -40..40 (8 units);
+        # the run must stop before that stencil reaches the
+        # edge-replicated padding
+        cfg = SimConfig(length=200.0, dx=0.2, t_end=40.0, init_width=5.0)
         params = ModelParams(p=2.0, h=0.0)
         result = run(cfg, params, TwoPointKernel(8.0),
                      BirthFunction.nicholson(2.0))
         assert result.hit_boundary
         assert result.front[-2] < cfg.length - 8.0
         assert result.clamp_events == 0
+
+    @pytest.mark.parametrize("kernel", [
+        TwoPointKernel(1e4), UniformKernel(500.0), GaussianKernel(2500.0)])
+    def test_refuses_kernel_wider_than_domain_unbuilt(self, monkeypatch,
+                                                      kernel):
+        # each blocked operator costs 256 bytes per tap, so stencils that
+        # reach across the whole domain are refused before any is built
+        def unbuilt(*args):
+            raise AssertionError("a blocked operator was built")
+        monkeypatch.setattr(front_sim, "_blocked", unbuilt)
+        with pytest.raises(DomainError, match="stencils reach .* lengthen"):
+            run(SimConfig(), ModelParams(p=2.0, h=0.0), kernel,
+                BirthFunction.nicholson(2.0))
 
     def test_rejects_mismatched_slope(self):
         cfg = SimConfig(length=30.0, dx=0.2, t_end=5.0)
@@ -521,7 +537,7 @@ def _scheme_speed(cfg, params, kernel):
     """
     dt, n = resolve_dt(params.h)
     stencils = _stencils(dt, cfg.dx)
-    offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
+    offsets, weights = kernel.discrete_weights(cfg.dx)
     half = stencils[0].size // 2
     taps = np.arange(-half, half + 1) * cfg.dx
 
@@ -567,7 +583,7 @@ class TestDispersionOracle:
         # and the box's cell-averaged atoms lift uniform's c* by 0.04 %
         cfg = SimConfig(length=400.0, dx=0.1, t_end=100.0)
         params = ModelParams(p=2.0, h=h)
-        offsets, weights = kernel.discrete_weights(cfg.dx, cfg.kernel_half_width)
+        offsets, weights = kernel.discrete_weights(cfg.dx)
         sampled = TabulatedKernel.from_atoms(offsets * cfg.dx, weights)
         c_grid = solve_critical(params, sampled).c_star
         c_delta = _scheme_speed(cfg, params, kernel)

@@ -125,7 +125,7 @@ class TestTwoPoint:
 
     def test_discrete_weights_are_atoms(self):
         # contiguous offsets -10..10 with the half masses at both ends
-        offsets, weights = TwoPointKernel(1.0).discrete_weights(0.1, 5.0)
+        offsets, weights = TwoPointKernel(1.0).discrete_weights(0.1)
         assert list(offsets) == list(range(-10, 11))
         assert list(weights) == [0.5] + [0.0] * 19 + [0.5]
         assert sum(weights) == 1.0
@@ -141,7 +141,7 @@ class TestDirac:
         assert k.support_radius() == 0.0
 
     def test_discrete_weights(self):
-        offsets, weights = DiracKernel().discrete_weights(0.1, 5.0)
+        offsets, weights = DiracKernel().discrete_weights(0.1)
         assert list(offsets) == [0]
         assert list(weights) == [1.0]
 
@@ -313,35 +313,55 @@ class TestQuadratureTwins:
 class TestDiscreteWeights:
     def test_unit_sum_and_symmetry(self):
         for k in (GaussianKernel(1.0), UniformKernel(1.0)):
-            offsets, weights = k.discrete_weights(0.1, 10.0)
+            offsets, weights = k.discrete_weights(0.1)
             assert abs(float(np.sum(weights)) - 1.0) < 1e-12
             assert list(offsets) == [-o for o in reversed(list(offsets))]
             assert np.allclose(weights, weights[::-1], rtol=0, atol=0)
 
     def test_compact_support_truncation(self):
-        offsets, _ = UniformKernel(1.0).discrete_weights(0.1, 10.0)
-        # no weight outside the support even when half_width is larger
+        offsets, _ = UniformKernel(1.0).discrete_weights(0.1)
+        # no weight outside the support
         assert max(offsets) <= int(round(1.0 / 0.1)) + 1
+
+    @pytest.mark.parametrize("alpha, taps", [(1.0, 201), (0.3, 111), (25.0, 1001)])
+    def test_gaussian_reach_follows_its_width(self, alpha, taps):
+        # sampled out to the first cell at or past 10 sqrt(alpha), where
+        # the density is e^-25 of its peak, whatever the width
+        offsets, weights = GaussianKernel(alpha).discrete_weights(0.1)
+        assert offsets.size == taps
+        ratio = weights / weights[taps // 2]
+        assert ratio[0] <= math.exp(-25.0) * (1.0 + 1e-12) < ratio[1]
 
     def test_uniform_cells_are_averaged(self):
         # the cells at +-a straddle the box edge and carry half weight
-        offsets, weights = UniformKernel(1.0).discrete_weights(0.1, 10.0)
+        offsets, weights = UniformKernel(1.0).discrete_weights(0.1)
         assert list(offsets) == list(range(-10, 11))
         assert weights[0] == weights[-1] == pytest.approx(0.5 * weights[10])
         # the trapezoid rule's a^2/3 + dx^2/6; sampling gave 0.367
         second = float(np.sum(weights * (offsets * 0.1) ** 2))
         assert second == pytest.approx(1.0 / 3.0 + 0.1 ** 2 / 6.0, rel=1e-12)
 
-    @pytest.mark.parametrize("a", [1.0, 0.95, 2.37])
-    def test_uniform_atoms_keep_the_speed(self, a):
-        # c* of the atoms the simulator convolves with stays within 0.1 %
-        # of the box's own c* (grid sampling was 0.7 % above at a = 1)
+    @staticmethod
+    def _atoms_speed_gap(kernel) -> float:
+        """Relative gap between c* of the atoms the simulator convolves
+        with at dx 0.1 and the kernel's own c* (p = 2, h = 1)."""
         params = ModelParams(p=2.0, h=1.0)
-        kernel = UniformKernel(a)
-        offsets, weights = kernel.discrete_weights(0.1, 10.0)
+        offsets, weights = kernel.discrete_weights(0.1)
         atoms = TabulatedKernel.from_atoms(offsets * 0.1, weights)
         c_atoms = solve_critical(params, atoms).c_star
-        assert rel(c_atoms, solve_critical(params, kernel).c_star) <= 1e-3
+        return rel(c_atoms, solve_critical(params, kernel).c_star)
+
+    @pytest.mark.parametrize("a", [1.0, 0.95, 2.37, 12.0, 20.0])
+    def test_uniform_atoms_keep_the_speed(self, a):
+        # within 0.1 % however wide the box (sampling the density would
+        # put a = 1 0.7 % high, and a cut at 10 units a = 20 49 % low)
+        assert self._atoms_speed_gap(UniformKernel(a)) <= 1e-3
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 9.0, 25.0])
+    def test_gaussian_atoms_keep_the_speed(self, alpha):
+        # within 1e-9 however wide the Gaussian (a cut at 10 units would
+        # put alpha = 9 7.4 % low and alpha = 25 31 % low)
+        assert self._atoms_speed_gap(GaussianKernel(alpha)) <= 1e-9
 
 
 class TestCheckedExp:
@@ -381,6 +401,19 @@ class TestKernelSpecParsing:
         # symmetric pair plus center atom: M = 0.5 + 0.5 cosh(lam)
         for lam in LAMBDAS:
             assert rel(k.mgf(lam), 0.5 + 0.5 * math.cosh(lam)) < 1e-15
+
+    def test_table_header_after_comments(self, tmp_path):
+        # the optional header is the first row that is neither blank nor
+        # a comment, wherever it sits; a later non-numeric row is refused
+        path = tmp_path / "t.csv"
+        path.write_text("# atoms of a three-point kernel\n\ns,weight\n"
+                        "0,0.5\n1,0.5\n")
+        k = kernel_from_spec(f"table:{path}")
+        for lam in LAMBDAS:
+            assert rel(k.mgf(lam), 0.5 + 0.5 * math.cosh(lam)) < 1e-15
+        path.write_text("# atoms\n0,0.5\ns,weight\n1,0.5\n")
+        with pytest.raises(DomainError, match=r"t\.csv:3: non-numeric row"):
+            kernel_from_spec(f"table:{path}")
 
     def test_table_file_missing(self, tmp_path):
         with pytest.raises(DomainError):
