@@ -50,11 +50,13 @@ Fixed choices, none of them settable:
     Kernel.discrete_weights), so the grid convolves with the kernel the
     solver solves for.  The run stops two cells before the widest
     stencil (K or the m-cell S, Pa, Pb) reaches the right edge; stencils
-    that reach across the whole domain are refused before any operator
-    is built.
+    that reach across the whole domain are refused from K's reach alone
+    (Kernel.reach), before K is discretized or any operator is built.
   * Nothing checks the field's size: S, Pa and Pb are nonnegative with
     unit total weight and K has unit sum, so u never exceeds
     max(u_0, sup g), which is max(ln p, p/e) for Nicholson.
+  * The front is where u crosses half of g's equilibrium; another level
+    shifts it by a constant, not its speed (Bramson 1983).
   * The speed is fitted over the trailing 40 % of the front trace.
 """
 
@@ -74,6 +76,7 @@ from .kernels import Kernel
 _MACRO_STEP = 0.1  # Delta before snapping to divide h
 _STABILITY = 0.45  # substep delta <= _STABILITY * dx^2
 _FIT_FRACTION = 0.4  # trailing fraction of the front trace that is fitted
+_FRONT_FRACTION = 0.5  # front level, as a fraction of g's equilibrium
 _BLOCK = 32  # output cells per row of a stencil's blocked product
 _FLUSH_CAP = 2.0 ** -500  # no operator reads inputs above this as zero
 
@@ -83,57 +86,53 @@ class BirthFunction:
     """Monostable birth term g with g(0) = 0 and g'(0) = p > 1.
 
     Variants: "nicholson" g(u) = p*u*exp(-u) (positive equilibrium
-    ln p) and "capped-linear" g(u) = min(p*u, p*cap) (positive
-    equilibrium p*cap).  Both satisfy g(s) <= p*s on s >= 0, the linear
-    determinacy hypothesis under which the simulated spreading speed
-    should match the solver's c*.
+    ln p) and "capped-linear" g(u) = min(p*u, p) (equilibrium p; any
+    other cap would only rescale u).  Both satisfy g(s) <= p*s on
+    s >= 0, the linear determinacy hypothesis under which the simulated
+    spreading speed should match the solver's c*.
     """
 
     kind: str
     p: float
-    cap: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("nicholson", "capped-linear"):
             raise DomainError(f"unknown birth function kind {self.kind!r}")
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise DomainError(f"birth function needs p > 1, got {self.p}")
-        if not (math.isfinite(self.cap) and self.cap > 0.0):
-            raise DomainError(f"cap must be positive, got {self.cap}")
 
     @classmethod
     def nicholson(cls, p: float) -> "BirthFunction":
         return cls(kind="nicholson", p=p)
 
     @classmethod
-    def capped_linear(cls, p: float, cap: float = 1.0) -> "BirthFunction":
-        return cls(kind="capped-linear", p=p, cap=cap)
+    def capped_linear(cls, p: float) -> "BirthFunction":
+        return cls(kind="capped-linear", p=p)
 
     @property
     def equilibrium(self) -> float:
         """The positive fixed point of g (g(u*) = u*)."""
         if self.kind == "nicholson":
             return math.log(self.p)
-        return self.p * self.cap
+        return self.p
 
     def __call__(self, u):
         if self.kind == "nicholson":
             return self.p * u * np.exp(-u)
-        return np.minimum(self.p * u, self.p * self.cap)
+        return np.minimum(self.p * u, self.p)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, time horizon, and measurement settings for one run.
+    """Grid, time horizon and initial step of one run.
 
-    The time step is not set here: it is always 0.1 snapped to divide h,
-    split into substeps of at most 0.45*dx^2 inside the stencils.
+    The time step (0.1 snapped to divide h, in substeps of at most
+    0.45*dx^2) and the front's level (half g's equilibrium) are fixed.
     """
 
     length: float = 400.0
     dx: float = 0.1
     t_end: float = 100.0
-    threshold_frac: float = 0.5       # front threshold as fraction of equilibrium
     init_width: float = 20.0          # initial step occupies [0, init_width]
 
     def __post_init__(self):
@@ -145,9 +144,6 @@ class SimConfig:
                 f"got {self.length}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
-        if not (0.0 < self.threshold_frac < 1.0):
-            raise DomainError(
-                f"threshold_frac must lie in (0,1), got {self.threshold_frac}")
         if not (0.0 < self.init_width < self.length):
             raise DomainError("init_width must lie inside the domain")
 
@@ -262,19 +258,19 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
                g: BirthFunction) -> SimState:
     """Allocate the grid, build the stencils, pre-fill the history.
 
-    Raises DomainError, before any blocked operator is built, when the
-    widest stencil plus two cells reaches across the whole domain.
+    Raises DomainError, before discretizing K or building any operator,
+    when the widest stencil plus two cells spans the whole domain.
     """
     cells = np.arange(int(round(cfg.length / cfg.dx)) + 1)
     u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
     dt, n_delay = resolve_dt(params.h)
     s, pa, pb = _stencils(dt, cfg.dx)
-    _, weights = kernel.discrete_weights(cfg.dx)
-    reach = max(weights.size, s.size) // 2
+    reach = max(kernel.reach(cfg.dx), s.size // 2)
     if reach + 2 >= cells.size - 1:
         raise DomainError(
             f"the stencils reach {reach * cfg.dx:g} units per side, which "
             f"leaves no room on a {cfg.length:g}-unit domain; lengthen it")
+    _, weights = kernel.discrete_weights(cfg.dx)
     reflect = np.pad(cells, s.size // 2, mode="reflect")
     apply_k = _blocked(weights, np.pad(cells, weights.size // 2, mode="edge"))
     history = deque(u0.copy() for _ in range(n_delay))
@@ -353,7 +349,7 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
         raise DomainError(
             f"birth function slope {g.p:g} disagrees with params.p {params.p:g}")
     state = make_state(cfg, params, kernel, g)
-    theta = cfg.threshold_frac * g.equilibrium
+    theta = _FRONT_FRACTION * g.equilibrium
     stop_x = cfg.length - state.reach * cfg.dx - 2.0 * cfg.dx
     times = [0.0]
     fronts = [front_position(state.u, cfg.dx, theta)]

@@ -50,25 +50,23 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
-def _fold_atoms(support, masses, dx: float):
-    """Discretize pair atoms (s_j >= 0, m_j) on a grid of spacing dx.
-
-    Atom j puts half its mass at each of the offsets +-round(s_j/dx);
-    returns offsets -W..W (zero between atoms) and unit-sum weights.
-    """
+def _atom_cells(support, dx: float) -> np.ndarray:
+    """Grid offsets rint(s_j/dx) of pair atoms s_j >= 0, half to even."""
     _require(dx > 0.0, f"dx must be positive, got {dx}")
-    acc: dict[int, float] = {}
-    for s_j, m_j in zip(support, masses):
-        j = int(round(s_j / dx))
-        if j == 0:
-            acc[0] = acc.get(0, 0.0) + m_j
-        else:
-            acc[j] = acc.get(j, 0.0) + 0.5 * m_j
-            acc[-j] = acc.get(-j, 0.0) + 0.5 * m_j
-    nw = max(abs(j) for j in acc)
-    offsets = np.arange(-nw, nw + 1)
-    weights = np.array([acc.get(int(j), 0.0) for j in offsets])
-    return offsets, weights / weights.sum()
+    return np.rint(np.asarray(support, dtype=float) / dx)
+
+
+def _fold_atoms(support, masses, dx: float):
+    """Discretize pair atoms (s_j >= 0, m_j) on a grid of spacing dx: half
+    of m_j at each of the offsets +-_atom_cells(s_j), all of it at 0.
+    Returns offsets -W..W, W the farthest atom's, and unit-sum weights."""
+    cells = _atom_cells(support, dx).astype(int)
+    share = np.where(cells == 0, 1.0, 0.5) * masses
+    nw = int(cells.max())
+    weights = np.zeros(2 * nw + 1)
+    np.add.at(weights, nw + cells, share)
+    np.add.at(weights, nw - cells[cells > 0], share[cells > 0])
+    return np.arange(-nw, nw + 1), weights / weights.sum()
 
 
 class Kernel(ABC):
@@ -115,13 +113,17 @@ class Kernel(ABC):
         """Smallest S with K supported in [-S, S]; inf if none."""
         return math.inf
 
+    def reach(self, dx: float) -> int:
+        """W of discrete_weights(dx), found without discretizing: the
+        farthest atom's cell here, overridden by density kernels."""
+        return int(_atom_cells(self.support_radius(), dx))
+
     @abstractmethod
     def discrete_weights(self, dx: float):
         """Discretize K on a grid of spacing dx for convolution.
 
-        Returns (offsets, weights): integer grid offsets -W..W and
-        nonnegative weights renormalized to unit sum.  Each variant sets
-        its own reach W, which the simulator's stop line follows.
+        Returns (offsets, weights): integer grid offsets -W..W, W =
+        reach(dx), and nonnegative weights renormalized to unit sum.
         """
 
     def __repr__(self) -> str:
@@ -156,11 +158,13 @@ class GaussianKernel(Kernel):
     def density(self, s: float) -> float:
         return math.exp(-s * s / (4.0 * self.alpha)) / math.sqrt(4.0 * math.pi * self.alpha)
 
-    def discrete_weights(self, dx: float):
-        """Density samples out to 10*sqrt(alpha), where the density has
-        fallen to e^-25 of its peak (201 taps for alpha = 1, dx = 0.1)."""
+    def reach(self, dx: float) -> int:
+        """Out to 10*sqrt(alpha), where the density is e^-25 of its peak."""
         _require(dx > 0.0, f"dx must be positive, got {dx}")
-        nw = max(1, int(math.ceil(10.0 * math.sqrt(self.alpha) / dx)))
+        return max(1, math.ceil(10.0 * math.sqrt(self.alpha) / dx))
+
+    def discrete_weights(self, dx: float):
+        nw = self.reach(dx)
         offsets = np.arange(-nw, nw + 1)
         weights = np.array([self.density(j * dx) for j in offsets], dtype=float)
         return offsets, weights / weights.sum()
@@ -228,6 +232,11 @@ class UniformKernel(Kernel):
     def support_radius(self) -> float:
         return self.a
 
+    def reach(self, dx: float) -> int:
+        """The last cell that meets [-a, a]."""
+        _require(dx > 0.0, f"dx must be positive, got {dx}")
+        return math.ceil(self.a / dx - 0.5 - 1e-9)
+
     def discrete_weights(self, dx: float):
         """Cell averages |[j dx - dx/2, j dx + dx/2] cap [-a, a]| / dx.
 
@@ -235,8 +244,7 @@ class UniformKernel(Kernel):
         (second moment 0.367 instead of 1/3 for a = 1 at dx 0.1); the
         cell averages keep the box's moments to O(dx^2).
         """
-        _require(dx > 0.0, f"dx must be positive, got {dx}")
-        nw = int(math.ceil(self.a / dx - 0.5 - 1e-9))
+        nw = self.reach(dx)
         offsets = np.arange(-nw, nw + 1)
         cells = offsets * dx
         weights = (np.minimum(cells + 0.5 * dx, self.a)

@@ -256,24 +256,27 @@ def _min_psi_sign(eps: float, z: float, params: ModelParams,
     return f, z
 
 
-def _window_end(eps: float, factor: float, params: ModelParams,
+def _window_end(eps: float, upper: bool, params: ModelParams,
                 kernel: Kernel) -> float:
-    """A window end whose cold min_psi sign is checked, moved if needed.
+    """A window end whose cold min_psi sign is checked.
 
-    factor 0.5 asks for a lower end (min_psi(eps)[1] < 0), 2.0 for an
-    upper end (> 0); eps is multiplied by factor up to 8 times until the
-    sign is right.  Each sign is that of a cold min_psi, taken through
-    _min_psi_sign from w = sqrt(eps)*z = 1, a w kept by every move.
+    A lower end must be below (min_psi(eps)[1] < 0), and is halved up to
+    8 times until it is.  An upper end is proven above (> 0); a wider
+    window would only yield a speed outside it, so any other sign there
+    raises BracketError.  Each sign is that of a cold min_psi, taken
+    through _min_psi_sign from w = sqrt(eps)*z = 1, kept by halving.
     """
     z = 1.0 / math.sqrt(eps)
-    for _ in range(9):
+    for _ in range(1 if upper else 9):
         f, z = _min_psi_sign(eps, z, params, kernel)
-        if (f > 0.0) if factor > 1.0 else (f < 0.0):
+        if (f > 0.0) if upper else (f < 0.0):
             return eps
-        eps *= factor
-        z /= math.sqrt(factor)
-    raise BracketError(
-        f"psi_min has no sign change over eps up to {eps / factor:g}")
+        eps *= 0.5
+        z /= math.sqrt(0.5)
+    eps *= 2.0
+    end = "the proven upper end" if upper else "the lower end, halved 8 times,"
+    raise BracketError(f"psi_min is {min_psi(eps, params, kernel)[1]:.3g} at "
+                       f"{end} eps = {eps:.17g}")
 
 
 def _eps_bracket(params: ModelParams,
@@ -287,8 +290,9 @@ def _eps_bracket(params: ModelParams,
     it first.  A certified a >= lo proves the lower end's sign, and a
     certified b <= hi the upper end's, so no end is evaluated then.  An
     end that stays uncertified takes its sign from _window_end, which
-    halves lo or doubles hi as needed, and serves as a or b itself.  The
-    window therefore equals that of checking both ends cold.
+    halves lo as needed (hi must be above already, or it raises), and
+    serves as a or b itself.  The window therefore equals that of
+    checking both ends cold.
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
@@ -299,9 +303,9 @@ def _eps_bracket(params: ModelParams,
     hi = (1.0 + 1e-9) / (lower * lower)
     a, b, z = _certified_bracket(lo, hi, params, kernel)
     if a is None:
-        a = lo = _window_end(lo, 0.5, params, kernel)
+        a = lo = _window_end(lo, False, params, kernel)
     if b is None:
-        b = hi = _window_end(hi, 2.0, params, kernel)
+        b = hi = _window_end(hi, True, params, kernel)
     return lo, a, b, hi, z
 
 

@@ -8,6 +8,7 @@ from conftest import REFERENCE, rel
 from wavespeed.charfun import ModelParams
 from wavespeed import cli
 from wavespeed.cli import main
+from wavespeed.errors import ConvergenceError
 from wavespeed.kernels import GaussianKernel
 from wavespeed.solver import solve_critical
 
@@ -124,6 +125,38 @@ class TestCurveCommand:
         assert text.startswith("<svg")
         assert "polyline" in text
         assert text.rstrip().endswith("</svg>")
+
+    def test_svg_single_sample_is_dots(self, tmp_path, capsys):
+        # one sample per series has no line to draw: each of the 8 series
+        # (upper_k2 is finite at h = 1) is one dot
+        svg = tmp_path / "c.svg"
+        assert main(["curve", "--p", "2", "--kernel", "gaussian:alpha=1",
+                     "--h-min", "1", "--samples", "1",
+                     "--out", str(tmp_path / "c.csv"), "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.count("<circle") == 8
+        assert "<polyline" not in text
+
+    def test_svg_failed_point_splits_the_series(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the second of five samples fails: c_star and residual become a
+        # dot at h = 0 and a line over the last three samples, and the
+        # six bound series stay whole lines (upper_k2 from h = 0.25 on)
+        true_solve = cli.solve_critical
+
+        def solve(params, kernel):
+            if params.h == 0.25:
+                raise ConvergenceError("injected failure")
+            return true_solve(params, kernel)
+        monkeypatch.setattr(cli, "solve_critical", solve)
+        svg = tmp_path / "c.svg"
+        assert main(["curve", "--p", "2", "--kernel", "gaussian:alpha=1",
+                     "--h-min", "0", "--h-max", "1", "--samples", "5",
+                     "--out", str(tmp_path / "c.csv"), "--svg", str(svg)]) == 3
+        assert "1 samples failed" in capsys.readouterr().err
+        text = svg.read_text()
+        assert text.count("<circle") == 2
+        assert text.count("<polyline") == 8
 
     def test_failed_points_leave_empty_fields(self, tmp_path, capsys):
         # barely supercritical with a long delay, every h > 0 solve stops
@@ -251,7 +284,7 @@ class TestSimulateCommand:
 
     def test_capped_birth(self, capsys):
         assert main(["simulate", "--p", "2", "--h", "0", "--kernel", "dirac",
-                     "--birth", "capped", "--cap", "0.5", "--length", "150",
+                     "--birth", "capped", "--length", "150",
                      "--dx", "0.2", "--t-end", "30"]) == 0
         fields = parse_kv_stdout(capsys.readouterr().out)
         assert float(fields["reference c*"]) == 2.0
@@ -301,20 +334,14 @@ _BASE = {
                  "--birth", "capped", "--length", "80", "--dx", "0.2",
                  "--t-end", "2", "--init-width", "5", "--out", _OUT],
 }
-# --cap is checked whatever the birth law; the part of a key after ":"
-# names a variant of the command's base line
-_BASE["simulate:nicholson"] = [
-    "nicholson" if a == "capped" else a for a in _BASE["simulate"]]
 _OUT_OF_RANGE = {
     "speed": {"--p": "1", "--h": "-1"},
     "bounds": {"--p": "1", "--h": "-1"},
     "curve": {"--p": "1", "--h-min": "-1", "--h-max": "-1", "--samples": "0"},
     "curves": {"--p": "1", "--h": "-1", "--eps": "0", "--samples": "0"},
     "verify": {"--p": "1"},
-    "simulate": {"--p": "1", "--h": "-1", "--cap": "0", "--length": "1",
-                 "--dx": "0", "--t-end": "0", "--threshold-frac": "1",
-                 "--init-width": "0"},
-    "simulate:nicholson": {"--cap": "-1"},
+    "simulate": {"--p": "1", "--h": "-1", "--length": "1", "--dx": "0",
+                 "--t-end": "0", "--init-width": "0"},
 }
 _BAD_VALUES = [(command, flag, value)
                for command, flags in _OUT_OF_RANGE.items()
@@ -323,8 +350,7 @@ _BAD_VALUES = [(command, flag, value)
 
 
 def _base_argv(command: str, out) -> list[str]:
-    return ([command.partition(":")[0]]
-            + [str(out) if a == _OUT else a for a in _BASE[command]])
+    return [command] + [str(out) if a == _OUT else a for a in _BASE[command]]
 
 
 @pytest.mark.parametrize("command", sorted(_BASE))

@@ -129,6 +129,12 @@ class TestTwoPoint:
         assert list(offsets) == list(range(-10, 11))
         assert list(weights) == [0.5] + [0.0] * 19 + [0.5]
         assert sum(weights) == 1.0
+        # atoms sharing a cell add up, an atom at 0 keeps its whole mass,
+        # and half a cell rounds to even: 0.5 cells to 0, 1.5 cells to 2
+        table = TabulatedKernel([0.0, 0.25, 0.5, 0.625, 0.75], [1, 1, 1, 1, 4])
+        offsets, weights = table.discrete_weights(0.5)
+        assert list(offsets) == [-2, -1, 0, 1, 2]
+        assert list(weights) == [0.25, 0.125, 0.25, 0.125, 0.25]
 
 
 class TestDirac:
@@ -311,12 +317,52 @@ class TestQuadratureTwins:
 
 
 class TestDiscreteWeights:
+    @pytest.mark.parametrize("kernel", [
+        GaussianKernel(0.3), UniformKernel(1.0), UniformKernel(0.01),
+        TwoPointKernel(0.15), DiracKernel(),
+        TabulatedKernel([0.0, 0.3, 1.26], [1.0, 2.0, 3.0])])
+    @pytest.mark.parametrize("dx", [0.05, 0.1, 0.2])
+    def test_reach_is_the_discretized_width(self, kernel, dx):
+        # the simulator sizes its domain check from reach alone
+        offsets, _ = kernel.discrete_weights(dx)
+        assert list(offsets) == list(range(-kernel.reach(dx),
+                                           kernel.reach(dx) + 1))
+
     def test_unit_sum_and_symmetry(self):
         for k in (GaussianKernel(1.0), UniformKernel(1.0)):
             offsets, weights = k.discrete_weights(0.1)
             assert abs(float(np.sum(weights)) - 1.0) < 1e-12
             assert list(offsets) == [-o for o in reversed(list(offsets))]
             assert np.allclose(weights, weights[::-1], rtol=0, atol=0)
+
+    @staticmethod
+    def _fold_atoms_loop(support, masses, dx):
+        """The per-cell loop that _fold_atoms vectorizes, kept as its
+        reference: Python's round also rounds half to even."""
+        acc = {}
+        for s_j, m_j in zip(support, masses):
+            j = int(round(s_j / dx))
+            if j == 0:
+                acc[0] = acc.get(0, 0.0) + m_j
+            else:
+                acc[j] = acc.get(j, 0.0) + 0.5 * m_j
+                acc[-j] = acc.get(-j, 0.0) + 0.5 * m_j
+        nw = max(acc)
+        weights = np.array([acc.get(j, 0.0) for j in range(-nw, nw + 1)])
+        return weights / weights.sum()
+
+    @pytest.mark.parametrize("kernel", [
+        DiracKernel(), TwoPointKernel(0.05), TwoPointKernel(0.15),
+        TwoPointKernel(1.0), TwoPointKernel(8.0),
+        TabulatedKernel.from_atoms([0.0, 0.04, -0.04, 0.06, 0.1, 0.14, 0.15,
+                                    0.25, 1.0, 1.02], range(1, 11)),
+        tabulated_twin(GaussianKernel(1.0)), tabulated_twin(UniformKernel(1.0))])
+    @pytest.mark.parametrize("dx", [0.05, 0.1, 0.2])
+    def test_atom_weights_equal_the_loop(self, kernel, dx):
+        twin = tabulated_twin(kernel)
+        _, weights = kernel.discrete_weights(dx)
+        reference = self._fold_atoms_loop(twin._s, twin._m, dx)
+        assert weights.tobytes() == reference.tobytes()
 
     def test_compact_support_truncation(self):
         offsets, _ = UniformKernel(1.0).discrete_weights(0.1)

@@ -19,6 +19,7 @@ from wavespeed.errors import (
     DegenerateCubicError,
     DomainError,
     MgfOverflowError,
+    NumericalError,
 )
 from wavespeed.kernels import (
     DiracKernel,
@@ -71,11 +72,6 @@ def _bisect_reference(params, kernel):
         eps_lo *= 0.5
         f_lo = min_psi(eps_lo, params, kernel)[1]
     f_hi = min_psi(eps_hi, params, kernel)[1]
-    for _ in range(8):
-        if f_hi > 0.0:
-            break
-        eps_hi *= 2.0
-        f_hi = min_psi(eps_hi, params, kernel)[1]
     assert f_lo < 0.0 < f_hi
     lo, hi = eps_lo, eps_hi
     for _ in range(DEFAULT_CONFIG.max_bisect):
@@ -282,8 +278,8 @@ class TestSolveCritical:
                                                    monkeypatch):
         # with one Newton evaluation only the lower end can be certified,
         # with none neither; an end left uncertified takes the cold check
-        # with its halvings or doublings, and every midpoint between the
-        # proven ends is evaluated, yet each decision stays the cold one
+        # (with its halvings at the lower end), and every midpoint between
+        # the proven ends is evaluated, yet each decision stays the cold one
         ends = []
 
         def counted_end(*args):
@@ -317,6 +313,20 @@ class TestSolveCritical:
         cp = solve_critical(params, kernel)
         assert_certified(cp, params, kernel)
         assert cp == _bisect_reference(params, kernel)
+
+    @pytest.mark.parametrize("h", (0.0, 1e-6, 1.0, 100.0, 1e4))
+    def test_never_returns_a_speed_outside_the_window(self, h):
+        # psi_min is not positive at the proven upper eps end here; the
+        # solver used to double that end and return c* 3e-8 to 8e-8
+        # (relative) below the window's lower end
+        params = ModelParams(p=1.0 + 1e-9, h=h)
+        kernel = DiracKernel()
+        try:
+            cp = solve_critical(params, kernel)
+        except NumericalError:
+            return
+        lower, upper = bound_window(params, kernel)
+        assert lower * (1.0 - 1e-12) <= cp.c_star <= upper * (1.0 + 1e-12)
 
     def test_certifies_where_cold_bracket_end_overflowed(self):
         # a cold min_psi at a bracket end used to raise MgfOverflowError
@@ -482,6 +492,26 @@ class TestContinueOde:
         assert curve.h[0] == pytest.approx(0.2)
         assert curve.c_star[0] > curve.c_star[-1]
         assert curve.endpoint_gap < 1e-8
+
+    def test_degenerate_cubic_takes_the_minimizer(self, monkeypatch):
+        # at alpha = 1e-15 the cubic's leading coefficient is numerically
+        # zero, so each of the run's 4*64 + 1 w0 lookups falls back to
+        # the generic minimizer, and the curve still closes on its end
+        kernel = GaussianKernel(1e-15)
+        seed = solve_critical(ModelParams(p=2.0, h=0.5), kernel)
+        degenerate = []
+        true_cardano = solver.cardano_w0
+
+        def cardano(*args):
+            try:
+                return true_cardano(*args)
+            except DegenerateCubicError:
+                degenerate.append(args)
+                raise
+        monkeypatch.setattr(solver, "cardano_w0", cardano)
+        curve = continue_ode(2.0, kernel, 0.5, seed.eps0, 1.5, steps=64)
+        assert len(degenerate) == 4 * 64 + 1
+        assert curve.endpoint_gap < 1e-9
 
     def test_single_point(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
