@@ -19,8 +19,8 @@ from .bounds import SpeedBounds, ad_upper, ad_upper_opt, bound_window, k1, k2, s
 from .charfun import (CriticalPoint, G_value, H_value, ModelParams, PsiEval,
                       R_value, critical_point, psi_eval, wform_residuals)
 from .errors import (BracketError, ConvergenceError, CubicRootError,
-                     DegenerateCubicError, DomainError, MgfOverflowError,
-                     NumericalError, UnsupportedVariantError, WavespeedError)
+                     DomainError, MgfOverflowError, NumericalError,
+                     WavespeedError)
 from .front_sim import (BirthFunction, SimConfig, SimResult, fit_front_speed,
                         front_position, run)
 from .kernels import (DiracKernel, GaussianKernel, Kernel, TabulatedKernel,
@@ -33,12 +33,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BirthFunction", "BracketError", "ConvergenceError", "CriticalPoint",
-    "CubicRootError", "DEFAULT_CONFIG", "DegenerateCubicError", "DiracKernel",
-    "DomainError", "G_value", "GaussianKernel", "H_value", "Kernel",
-    "MgfOverflowError", "ModelParams", "NumericalError", "PsiEval", "R_value",
-    "SimConfig", "SimResult", "SpeedBounds",
-    "SpeedCurve", "TabulatedKernel", "TwoPointKernel", "UniformKernel",
-    "UnsupportedVariantError", "WavespeedError",
+    "CubicRootError", "DEFAULT_CONFIG", "DiracKernel", "DomainError",
+    "G_value", "GaussianKernel", "H_value", "Kernel", "MgfOverflowError",
+    "ModelParams", "NumericalError", "PsiEval", "R_value", "SimConfig",
+    "SimResult", "SpeedBounds", "SpeedCurve", "TabulatedKernel",
+    "TwoPointKernel", "UniformKernel", "WavespeedError",
     "ad_upper", "ad_upper_opt", "bound_window", "cardano_w0", "continue_ode",
     "critical_point", "fit_front_speed", "front_position", "k1", "k2",
     "kernel_from_spec", "min_psi", "psi_eval", "run", "solve_critical",

@@ -15,10 +15,6 @@ class DomainError(WavespeedError, ValueError):
     """Input violates a documented hypothesis (p > 1, h >= 0, ...)."""
 
 
-class UnsupportedVariantError(DomainError):
-    """The requested operation is not defined for this kernel variant."""
-
-
 class NumericalError(WavespeedError, ArithmeticError):
     """A numerical procedure failed; the result would be untrustworthy."""
 
@@ -39,10 +35,5 @@ class ConvergenceError(NumericalError):
 
 
 class CubicRootError(NumericalError):
-    """The cubic violated the three-real-roots assumption or has no
-    admissible positive root."""
-
-
-class DegenerateCubicError(NumericalError):
-    """Leading cubic coefficient is numerically zero; the fast path does
-    not apply and the caller must fall back to the generic solver."""
+    """The Gaussian cubic's fast path failed, for any reason; the solver
+    catches it and lets the generic minimizer answer instead."""

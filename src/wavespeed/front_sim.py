@@ -50,8 +50,9 @@ Fixed choices, none of them settable:
     Kernel.discrete_weights), so the grid convolves with the kernel the
     solver solves for.  The run stops two cells before the widest
     stencil (K or the m-cell S, Pa, Pb) reaches the right edge; stencils
-    that reach across the whole domain are refused from K's reach alone
-    (Kernel.reach), before K is discretized or any operator is built.
+    that reach across the whole domain are refused from K's reach and m
+    alone (Kernel.reach, _substeps), before K is discretized or any
+    operator is built.
   * Nothing checks the field's size: S, Pa and Pb are nonnegative with
     unit total weight and K has unit sum, so u never exceeds
     max(u_0, sup g), which is max(ln p, p/e) for Nicholson.
@@ -197,9 +198,14 @@ def resolve_dt(h: float) -> tuple[float, int]:
     return h / n, n
 
 
+def _substeps(dt: float, dx: float) -> int:
+    """m, the explicit substeps of at most _STABILITY*dx^2 in a macro step."""
+    return math.ceil(dt / (_STABILITY * dx * dx) - 1e-12)
+
+
 def _stencils(dt: float, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S, Pa and Pb of a macro step dt: m positive explicit substeps folded."""
-    m = math.ceil(dt / (_STABILITY * dx * dx) - 1e-12)
+    m = _substeps(dt, dx)
     sub = dt / m
     r = sub / (dx * dx)
     s1 = np.array([r, 1.0 - sub - 2.0 * r, r])
@@ -258,18 +264,21 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
                g: BirthFunction) -> SimState:
     """Allocate the grid, build the stencils, pre-fill the history.
 
-    Raises DomainError, before discretizing K or building any operator,
-    when the widest stencil plus two cells spans the whole domain.
+    Raises DomainError, before allocating the grid, discretizing K or
+    building any operator, when the widest stencil (K's reach or the m
+    substeps of S, Pa and Pb) plus two cells spans the whole domain.
     """
-    cells = np.arange(int(round(cfg.length / cfg.dx)) + 1)
-    u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
+    n_cells = int(round(cfg.length / cfg.dx)) + 1
     dt, n_delay = resolve_dt(params.h)
-    s, pa, pb = _stencils(dt, cfg.dx)
-    reach = max(kernel.reach(cfg.dx), s.size // 2)
-    if reach + 2 >= cells.size - 1:
+    reach = max(kernel.reach(cfg.dx), _substeps(dt, cfg.dx))
+    if reach + 2 >= n_cells - 1:
         raise DomainError(
             f"the stencils reach {reach * cfg.dx:g} units per side, which "
-            f"leaves no room on a {cfg.length:g}-unit domain; lengthen it")
+            f"leaves no room on a {cfg.length:g}-unit domain; lengthen it "
+            "or coarsen dx")
+    cells = np.arange(n_cells)
+    u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
+    s, pa, pb = _stencils(dt, cfg.dx)
     _, weights = kernel.discrete_weights(cfg.dx)
     reflect = np.pad(cells, s.size // 2, mode="reflect")
     apply_k = _blocked(weights, np.pad(cells, weights.size // 2, mode="edge"))

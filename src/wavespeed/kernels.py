@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import DomainError, MgfOverflowError, UnsupportedVariantError
+from .errors import DomainError, MgfOverflowError
 
 # exp() overflows a little above 709; keep headroom for products
 _EXP_LIMIT = 700.0
@@ -100,14 +100,6 @@ class Kernel(ABC):
     @abstractmethod
     def spec_string(self) -> str:
         """Round-trippable CLI spec, e.g. ``gaussian:alpha=1``."""
-
-    def density(self, s: float) -> float:
-        """Pointwise density K(s).  Variants made of atoms have none and
-        refuse."""
-        raise UnsupportedVariantError(
-            f"{type(self).__name__} has no pointwise density; "
-            "use mgf-level operations"
-        )
 
     def support_radius(self) -> float:
         """Smallest S with K supported in [-S, S]; inf if none."""
@@ -259,7 +251,7 @@ class TwoPointKernel(Kernel):
     """Half masses at s = -a and s = +a; M(lam) = cosh(a*lam).
 
     a = 0 collapses to the point mass at the origin.  There is no
-    Lebesgue density, so `density` raises UnsupportedVariantError.
+    Lebesgue density, so the kernel has no `density` method.
     """
 
     def __init__(self, a: float):
@@ -447,22 +439,20 @@ class TabulatedKernel(Kernel):
 def tabulated_twin(kernel: Kernel) -> TabulatedKernel:
     """Quadrature replacement for a closed-form kernel.
 
-    Atom kernels copy their atoms exactly; density kernels are sampled
-    with the default truncation S = 10*(1 + sqrt(second moment)),
+    Atom kernels copy their pair atom exactly; density kernels are
+    sampled with the default truncation S = 10*(1 + sqrt(second moment)),
     clipped to the support radius when it is finite.  Used to check that
     the pipeline does not secretly depend on closed forms.
     """
     if isinstance(kernel, TabulatedKernel):
         return kernel
-    if isinstance(kernel, DiracKernel):
-        return TabulatedKernel([0.0], [1.0], label="dirac-twin")
-    if isinstance(kernel, TwoPointKernel):
-        return TabulatedKernel([kernel.a], [1.0], label=f"twin-of-{kernel.spec_string()}")
+    label = f"twin-of-{kernel.spec_string()}"
+    if isinstance(kernel, (DiracKernel, TwoPointKernel)):
+        return TabulatedKernel([kernel.support_radius()], [1.0], label=label)
     half = 10.0 * (1.0 + math.sqrt(kernel.second_moment()))
     half = min(half, kernel.support_radius())
-    return TabulatedKernel.from_density(
-        kernel.density, half_width=half,
-        label=f"twin-of-{kernel.spec_string()}")
+    return TabulatedKernel.from_density(kernel.density, half_width=half,
+                                        label=label)
 
 
 def _parse_kv(body: str, key: str, variant: str) -> float:

@@ -34,13 +34,14 @@ On top of the direct solver:
     leftmost positive root of an explicit cubic (trigonometric form);
   * continue_ode integrates eps0'(h) = 2*eps0*G(w0) / (1 + h*G(w0))
     with classical fixed-step RK4, retrieving w0 per stage via the
-    cubic (Gaussian) or via min_psi (any kernel);
+    cubic (Gaussian) or, wherever that fails, via min_psi (any kernel);
   * sweep_direct runs independent direct solves over an h-grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,8 +49,7 @@ from . import bounds as _bounds
 from .charfun import (CriticalPoint, G_value, ModelParams, PsiEval,
                       critical_point, psi_eval)
 from .errors import (BracketError, ConvergenceError, CubicRootError,
-                     DegenerateCubicError, DomainError, MgfOverflowError,
-                     NumericalError)
+                     DomainError, MgfOverflowError, NumericalError)
 from .kernels import GaussianKernel, Kernel
 
 _CURVE_METHODS = ("direct", "ode-continuation", "cardano-continuation")
@@ -292,13 +292,19 @@ def _eps_bracket(params: ModelParams,
     end that stays uncertified takes its sign from _window_end, which
     halves lo as needed (hi must be above already, or it raises), and
     serves as a or b itself.  The window therefore equals that of
-    checking both ends cold.
+    checking both ends cold.  A lower bound whose square is below the
+    smallest normal double (a delay near 1e154 or longer) would put hi
+    out of double range, so it raises DomainError first.
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
         raise BracketError(
             f"bound window [{lower:g}, {upper:g}] is invalid; "
             "this indicates a bug, not bad input")
+    if lower * lower < sys.float_info.min:
+        raise DomainError(
+            f"the lower speed bound {lower:.3g} is below 1.5e-154, so "
+            f"eps = 1/c^2 would leave double range (h = {params.h:g})")
     lo = (1.0 - 1e-9) / (upper * upper)
     hi = (1.0 + 1e-9) / (lower * lower)
     a, b, z = _certified_bracket(lo, hi, params, kernel)
@@ -509,7 +515,8 @@ def cardano_w0(eps: float, h: float, alpha: float) -> float:
     eps lies on the critical curve.  Coefficients: a3 = 2*sqrt(eps)*alpha,
     a2 = -(h + 2*alpha), a1 = h/sqrt(eps) - 2*sqrt(eps)*(1 + alpha),
     a0 = 1 + h.  The three-real-roots property is checked at runtime via
-    the discriminant rather than assumed.
+    the discriminant rather than assumed; that check, a3 < 1e-14, no
+    positive root and the root's residual each raise CubicRootError.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"cardano_w0 needs eps > 0, got {eps}")
@@ -520,7 +527,7 @@ def cardano_w0(eps: float, h: float, alpha: float) -> float:
     se = math.sqrt(eps)
     a3 = 2.0 * se * alpha
     if a3 < 1e-14:
-        raise DegenerateCubicError(
+        raise CubicRootError(
             f"leading coefficient 2*sqrt(eps)*alpha = {a3:.3g} is numerically "
             "zero; use the generic minimizer path")
     a2 = -(h + 2.0 * alpha)
@@ -542,11 +549,12 @@ def cardano_w0(eps: float, h: float, alpha: float) -> float:
 
 
 def _w0_on_curve(p: float, kernel: Kernel, h: float, eps: float) -> float:
-    """w0 = sqrt(eps)*argmin psi at a point assumed on the critical curve."""
+    """w0 = sqrt(eps)*argmin psi at a point assumed on the critical curve:
+    the Gaussian cubic, or min_psi for other kernels and on CubicRootError."""
     if isinstance(kernel, GaussianKernel):
         try:
             return cardano_w0(eps, h, kernel.alpha)
-        except DegenerateCubicError:
+        except CubicRootError:
             pass
     z, _ = min_psi(eps, ModelParams(p=p, h=h), kernel)
     return math.sqrt(eps) * z
@@ -560,8 +568,8 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
 
     Classical fixed-step RK4 over `steps` steps from h0 to h_end (either
     direction); at every stage w0 is retrieved with the Gaussian cubic
-    when available, otherwise with the generic minimizer.  A stage
-    failure triggers step halving (up to 4 levels) before giving up.
+    when available, else (or on CubicRootError) with the generic
+    minimizer.  Another stage failure halves the step (up to 4 levels).
     The seed must already satisfy |psi_min(eps_init)| <= 1e-7 and the
     endpoint is cross-checked against a direct solve at h_end.
     """

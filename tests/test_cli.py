@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, file artifacts."""
 
+import dataclasses
 import math
 
 import pytest
@@ -40,6 +41,23 @@ class TestSpeedCommand:
         assert main(["speed", "--p", "0.5", "--h", "1",
                      "--kernel", "gaussian:alpha=1"]) == 2
         assert "p must be > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["1e155", "1e200"])
+    def test_refuses_delay_beyond_double_range(self, capsys, h):
+        assert main(["speed", "--p", "2", "--h", h, "--kernel", "dirac"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "double range" in err
+        assert "Traceback" not in err
+
+    def test_numerical_failure_exits_3(self, capsys):
+        # p = 1+1e-9 without dispersal: the proven upper window end does
+        # not certify, a NumericalError that main maps to exit 3
+        assert main(["speed", "--p", "1.000000001", "--h", "0",
+                     "--kernel", "dirac"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
 
     def test_rejects_unknown_kernel(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +253,15 @@ class TestVerifyCommand:
         assert out.count("[PASS]") == 3
         assert "(ode-continuation)" in out
 
+    def test_failed_continuation_is_reported(self, monkeypatch, capsys):
+        def drifted(*args, **kwargs):
+            raise ConvergenceError("continuation endpoint drifted")
+        monkeypatch.setattr(cli, "continue_ode", drifted)
+        assert main(["verify"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] continuation-endpoint" in out
+        assert out.count("[FAIL]") == 1
+
     def test_seeded_perturbation_is_caught(self, monkeypatch, capsys):
         # a Cardano fast path that drifts by one part in 1e3 must fail the
         # cardano-vs-generic check and the exit code; continuation uses
@@ -290,12 +317,42 @@ class TestSimulateCommand:
         assert float(fields["reference c*"]) == 2.0
         assert float(fields["relative gap"]) < 0.05
 
+    def test_boundary_warning(self, capsys):
+        # a 30-unit domain is crossed long before t_end = 100: the trace
+        # is cut at the stop line, fitted, and the run still succeeds
+        assert main(["simulate", "--p", "2", "--h", "0", "--kernel", "dirac",
+                     "--length", "30", "--dx", "0.2", "--t-end", "100",
+                     "--init-width", "5"]) == 0
+        captured = capsys.readouterr()
+        assert "fitted speed" in captured.out
+        assert captured.err == ("warning: front reached the domain boundary; "
+                                "trace truncated\n")
+
     def test_rejects_start_past_stop_line(self, capsys):
         # a 40-unit box on a 50-unit domain leaves no room to spread
         assert main(["simulate", "--p", "2", "--h", "0",
                      "--kernel", "uniform:a=40", "--length", "50",
                      "--init-width", "20", "--t-end", "5"]) == 2
         assert "stop line" in capsys.readouterr().err
+
+
+class TestFigure2Command:
+    def test_refuses_to_write_disagreeing_paths(self, monkeypatch, tmp_path,
+                                                capsys):
+        # continuation speeds off by 1e-5 (relative) against the direct
+        # sweep: the cross-check fails, exit 3, and no CSV is written
+        true_continue = cli.continue_ode
+
+        def drifted(*args, **kwargs):
+            curve = true_continue(*args, **kwargs)
+            return dataclasses.replace(
+                curve, c_star=tuple(c * (1.0 + 1e-5) for c in curve.c_star))
+        monkeypatch.setattr(cli, "continue_ode", drifted)
+        out = tmp_path / "figure2.csv"
+        assert main(["figure2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: continuation and direct")
+        assert not out.exists()
 
 
 class TestParserHygiene:

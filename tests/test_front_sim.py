@@ -393,6 +393,19 @@ class TestRun:
             run(SimConfig(), ModelParams(p=2.0, h=0.0), kernel,
                 BirthFunction.nicholson(2.0))
 
+    def test_refuses_substep_stencils_wider_than_domain_unbuilt(self,
+                                                                monkeypatch):
+        # at dx = 1e-3 a macro step is m = 222223 substeps, so S, Pa and
+        # Pb reach 222 units; the reach is known from m, before _stencils
+        # runs its m convolution passes
+        def unbuilt(*args):
+            raise AssertionError("the stencils were built")
+        monkeypatch.setattr(front_sim, "_stencils", unbuilt)
+        cfg = SimConfig(length=20.0, dx=1e-3, init_width=5.0)
+        with pytest.raises(DomainError, match="stencils reach .* coarsen dx"):
+            run(cfg, ModelParams(p=2.0, h=1.0), DiracKernel(),
+                BirthFunction.nicholson(2.0))
+
     def test_rejects_mismatched_slope(self):
         cfg = SimConfig(length=30.0, dx=0.2, t_end=5.0)
         params = ModelParams(p=2.0, h=0.0)

@@ -16,7 +16,6 @@ from wavespeed.charfun import ModelParams, critical_point, psi_eval
 from wavespeed.errors import (
     ConvergenceError,
     CubicRootError,
-    DegenerateCubicError,
     DomainError,
     MgfOverflowError,
     NumericalError,
@@ -157,6 +156,16 @@ class TestMinPsi:
 
 
 class TestSolveCritical:
+    @pytest.mark.parametrize("kernel", [DiracKernel(), GaussianKernel(1.0),
+                                        UniformKernel(1.0)])
+    @pytest.mark.parametrize("h", [1e155, 1e200])
+    def test_refuses_delay_beyond_double_range(self, kernel, h):
+        # the lower speed bound sqrt(ln p)/h squares below the smallest
+        # normal double, so 1/lower^2 would be inf (h = 1e155) or divide
+        # by an underflowed 0 (h = 1e200)
+        with pytest.raises(DomainError, match="lower speed bound .* double range"):
+            solve_critical(ModelParams(p=2.0, h=h), kernel)
+
     @pytest.mark.parametrize("tag", sorted(REFERENCE))
     def test_matches_frozen_references(self, tag):
         h = float(tag.split("_h")[1])
@@ -458,7 +467,7 @@ class TestCardanoW0:
         assert abs(res) <= 1e-12 * scale
 
     def test_degenerate_cubic(self):
-        with pytest.raises(DegenerateCubicError):
+        with pytest.raises(CubicRootError, match="leading coefficient"):
             cardano_w0(1.0, 1.0, 1e-16)
 
     def test_domain_errors(self):
@@ -505,13 +514,43 @@ class TestContinueOde:
         def cardano(*args):
             try:
                 return true_cardano(*args)
-            except DegenerateCubicError:
+            except CubicRootError:
                 degenerate.append(args)
                 raise
         monkeypatch.setattr(solver, "cardano_w0", cardano)
         curve = continue_ode(2.0, kernel, 0.5, seed.eps0, 1.5, steps=64)
         assert len(degenerate) == 4 * 64 + 1
         assert curve.endpoint_gap < 1e-9
+
+    def test_failed_cubic_takes_the_minimizer_without_halving(self, monkeypatch):
+        # a CubicRootError of any kind at one stage sends that stage to
+        # min_psi; the step is not halved, so the run makes the same w0
+        # lookups on the same h grid and lands on the same curve
+        seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
+        true_cardano, true_w0 = solver.cardano_w0, solver._w0_on_curve
+        lookups = []
+
+        def counted_w0(*args):
+            lookups.append(args)
+            return true_w0(*args)
+        monkeypatch.setattr(solver, "_w0_on_curve", counted_w0)
+        plain = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+        n_plain = len(lookups)
+        cardano_calls = []
+
+        def cardano(*args):
+            cardano_calls.append(args)
+            if len(cardano_calls) == 6:      # stage s2 of the second step
+                raise CubicRootError("injected: no positive root")
+            return true_cardano(*args)
+        monkeypatch.setattr(solver, "cardano_w0", cardano)
+        lookups.clear()
+        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+        assert len(cardano_calls) > 6
+        assert len(lookups) == n_plain
+        assert curve.h == plain.h
+        for got, want in zip(curve.eps0, plain.eps0):
+            assert rel(got, want) < 1e-8
 
     def test_single_point(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
