@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from .charfun import (G_value, H_value, ModelParams, R_value, _check_eps,
                       psi_eval)
-from .errors import DomainError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .front_sim import BirthFunction, SimConfig, run as run_sim
 from .kernels import GaussianKernel, Kernel, kernel_from_spec
 from .solver import (cardano_w0, continue_ode, min_psi, solve_critical,
@@ -211,8 +211,13 @@ def _curve_points(p: float, kernel: Kernel, grid: Sequence[float],
     if len(grid) == 1:
         return [(seed.c_star, seed.res_psi)]
     sub = 4
-    curve = continue_ode(p, kernel, grid[0], seed.eps0, grid[-1],
-                         steps=sub * (len(grid) - 1))
+    try:
+        curve = continue_ode(p, kernel, grid[0], seed.eps0, grid[-1],
+                             steps=sub * (len(grid) - 1))
+    except ConvergenceError as exc:
+        # steps is fixed at `sub` per sample interval: --samples is the lever
+        raise ConvergenceError(
+            str(exc).replace("increase steps", "increase --samples")) from None
     return [(curve.c_star[i * sub], curve.res_psi[i * sub])
             for i in range(len(grid))]
 

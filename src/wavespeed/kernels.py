@@ -10,11 +10,11 @@ the package leans on in two places: the decayed moment
 integral K(s) exp(-w*s) ds equals M(w), and the signed first moment
 integral s*K(s) exp(-w*s) ds equals -M'(w).
 
-Closed-form variants (Gaussian, Uniform, TwoPoint, DiracLimit) know
-M, M' and M'' exactly.  TabulatedKernel carries atoms (s_j, m_j) on the
-nonnegative half line, each atom standing for the symmetric pair +-s_j;
-that representation keeps evenness exact in floating point instead of
-merely approximate.
+Closed-form variants (Gaussian, Uniform, TwoPoint) know M, M' and M''
+exactly; the point mass (Dirac) is the two-point kernel at a = 0.
+TabulatedKernel carries atoms (s_j, m_j) on the nonnegative half line,
+each atom standing for the symmetric pair +-s_j; that representation
+keeps evenness exact in floating point instead of merely approximate.
 
 Heavy-tailed kernels (Laplace, Cauchy, ...) have no finite M and are
 rejected at construction by not existing here.  Kernels with atoms are
@@ -250,8 +250,8 @@ class UniformKernel(Kernel):
 class TwoPointKernel(Kernel):
     """Half masses at s = -a and s = +a; M(lam) = cosh(a*lam).
 
-    a = 0 collapses to the point mass at the origin.  There is no
-    Lebesgue density, so the kernel has no `density` method.
+    a = 0 is the point mass at the origin, which DiracKernel names.
+    There is no Lebesgue density, so the kernel has no `density` method.
     """
 
     def __init__(self, a: float):
@@ -287,32 +287,18 @@ class TwoPointKernel(Kernel):
         return f"twopoint:a={self.a:g}"
 
 
-class DiracKernel(Kernel):
-    """Point mass at the origin: M == 1, all moments vanish.
+class DiracKernel(TwoPointKernel):
+    """Point mass at the origin: the two-point kernel at a = 0.
 
-    Realizes the vanishing-dispersal limit in which the nonlocal term
-    becomes purely local; the only variant with closed-form critical
-    speed, hence the prime test oracle.  Bound inequalities that are
-    strict for spread-out kernels may degenerate to equalities here.
+    M = cosh(0) = 1 and every moment vanishes, bit for bit.  Realizes
+    the vanishing-dispersal limit in which the nonlocal term becomes
+    purely local; the only variant with closed-form critical speed,
+    hence the prime test oracle.  Bound inequalities that are strict
+    for spread-out kernels may degenerate to equalities here.
     """
 
-    def mgf(self, lam: float) -> float:
-        return 1.0
-
-    def mgf_deriv(self, lam: float) -> float:
-        return 0.0
-
-    def mgf_deriv2(self, lam: float) -> float:
-        return 0.0
-
-    def second_moment(self) -> float:
-        return 0.0
-
-    def support_radius(self) -> float:
-        return 0.0
-
-    def discrete_weights(self, dx: float):
-        return _fold_atoms((0.0,), (1.0,), dx)
+    def __init__(self):
+        super().__init__(0.0)
 
     def spec_string(self) -> str:
         return "dirac"
@@ -447,7 +433,7 @@ def tabulated_twin(kernel: Kernel) -> TabulatedKernel:
     if isinstance(kernel, TabulatedKernel):
         return kernel
     label = f"twin-of-{kernel.spec_string()}"
-    if isinstance(kernel, (DiracKernel, TwoPointKernel)):
+    if isinstance(kernel, TwoPointKernel):
         return TabulatedKernel([kernel.support_radius()], [1.0], label=label)
     half = 10.0 * (1.0 + math.sqrt(kernel.second_moment()))
     half = min(half, kernel.support_radius())

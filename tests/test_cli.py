@@ -117,6 +117,15 @@ class TestCurveCommand:
             cd, co = float(rd.split(",")[1]), float(ro.split(",")[1])
             assert rel(cd, co) < 1e-6
 
+    def test_endpoint_drift_names_samples(self, tmp_path, capsys):
+        # curve fixes steps at 4 per sample interval, so the message must
+        # name the flag that sets them, not continue_ode's argument
+        assert main(["curve", "--p", "50", "--kernel", "gaussian:alpha=3",
+                     "--method", "ode", "--h-max", "10",
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "drifted" in err and "--samples" in err
+
     def test_single_sample(self, tmp_path, capsys):
         # one sample is the row at h_min, and both methods take it from
         # the same direct solve

@@ -151,6 +151,21 @@ class TestDirac:
         assert list(offsets) == [0]
         assert list(weights) == [1.0]
 
+    def test_is_the_two_point_kernel_at_zero(self):
+        dirac, pair = DiracKernel(), TwoPointKernel(0.0)
+        for lam in (0.0, 0.37, 2.5, 1e6):
+            for k in (dirac, pair):
+                assert (k.mgf(lam), k.mgf_deriv(lam),
+                        k.mgf_deriv2(lam)) == (1.0, 0.0, 0.0)
+        for dx in (0.05, 0.1, 0.2):
+            for k in (dirac, pair):
+                offsets, weights = k.discrete_weights(dx)
+                assert (list(offsets), list(weights)) == ([0], [1.0])
+        for p, h in itertools.product((1.5, 2.0, 4.0), (0.0, 0.5, 1.0, 3.0)):
+            params = ModelParams(p=p, h=h)
+            assert solve_critical(params, dirac) == solve_critical(params, pair)
+        assert tabulated_twin(dirac).spec_string() == "twin-of-dirac"
+
 
 class TestMgfDerivatives:
     """First and second derivatives against central differences."""
