@@ -53,6 +53,20 @@ Fixed choices, none of them settable:
     that reach across the whole domain are refused from K's reach and m
     alone (Kernel.reach, _substeps), before K is discretized or any
     operator is built.
+  * The length only bounds the domain: run simulates no further than
+    the cells the front can reach by t_end.  The operators are
+    nonnegative and g(u) <= p u, so u stays below the linearized
+    scheme's solution (Weinberger, SIAM J. Math. Anal. 13 (1982) 353),
+    and so below u* exp(lam (x0 + c_lam (t + h) - x)) for every lam > 0,
+    with x0 = init_width, u* g's equilibrium and c_lam = ln rho(lam) /
+    (lam Delta) (_log_growth; the least c_lam is the scheme's own
+    linear speed c*_Delta).  The grid ends at the widest stencil's reach
+    plus two cells past E, the least over a lam grid of x0 + c_lam
+    (T + h + Delta) + 53 ln 2 / lam, T the last step's time and c_lam
+    capped so that E never passes the length: there that bound is
+    below 2^-53 u* until the last step.  What the cut leaves at E moved
+    no front by one bit on any configuration tested against the full
+    length; the bound alone does not imply that.
   * Nothing checks the field's size: S, Pa and Pb are nonnegative with
     unit total weight and K has unit sum, so u never exceeds
     max(u_0, sup g), which is max(ln p, p/e) for Nicholson.
@@ -65,7 +79,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,6 +94,8 @@ _FIT_FRACTION = 0.4  # trailing fraction of the front trace that is fitted
 _FRONT_FRACTION = 0.5  # front level, as a fraction of g's equilibrium
 _BLOCK = 32  # output cells per row of a stencil's blocked product
 _FLUSH_CAP = 2.0 ** -500  # no operator reads inputs above this as zero
+_MAJORANT_DROP = 53 * math.log(2.0)  # the grid ends where u <= 2^-53 u*
+_DECAY_RATES = np.geomspace(0.02, 20.0, 48)  # lambdas tried for that edge
 
 
 @dataclass(frozen=True)
@@ -127,8 +143,11 @@ class BirthFunction:
 class SimConfig:
     """Grid, time horizon and initial step of one run.
 
-    The time step (0.1 snapped to divide h, in substeps of at most
-    0.45*dx^2) and the front's level (half g's equilibrium) are fixed.
+    length bounds the domain; run simulates only up to where the linear
+    majorant falls to 2^-53 of g's equilibrium by t_end, when that is
+    shorter.  The time step (0.1 snapped to divide h, in substeps of at
+    most 0.45*dx^2) and the front's level (half g's equilibrium) are
+    fixed.
     """
 
     length: float = 400.0
@@ -260,6 +279,63 @@ def _blocked(stencil: np.ndarray, gather: np.ndarray):
     return apply
 
 
+def _reach(cfg: SimConfig, kernel: Kernel, dt: float) -> int:
+    """The widest stencil's half-width in cells: K's reach or S's m substeps.
+
+    Raises DomainError when that reach plus two cells spans the whole
+    domain; it needs neither K's weights nor any stencil.
+    """
+    reach = max(kernel.reach(cfg.dx), _substeps(dt, cfg.dx))
+    if reach + 2 >= int(round(cfg.length / cfg.dx)):
+        raise DomainError(
+            f"the stencils reach {reach * cfg.dx:g} units per side, which "
+            f"leaves no room on a {cfg.length:g}-unit domain; lengthen it "
+            "or coarsen dx")
+    return reach
+
+
+def _log_growth(lam: np.ndarray, dx: float, params: ModelParams,
+                kernel: Kernel) -> np.ndarray:
+    """ln rho(lam): the linearized step's growth per macro step, per lam.
+
+    Linearized at u = 0 (g(u) = p u), a step maps rho^n e^{-lam x} to
+    rho^{n+1} e^{-lam x} when rho^{N+1} = S^ rho^N + p M^ (Pa^ + Pb^ rho),
+    with X^ = sum_j X_j e^{lam x_j} over each operator's taps x_j (at
+    N = 0 the predictor gives rho = S^ + pM^ Pa^ + pM^ Pb^ (S^ + pM^ (Pa^
+    + Pb^)) instead).  By Descartes' rule of signs that relation has one
+    positive root, where S^/rho + pM^ Pa^/rho^{N+1} + pM^ Pb^/rho^N
+    falls through 1.  That is bisected in y = ln rho, from the largest
+    of the three terms' own roots (the sum is >= 1 there) to ln 3 above
+    it (each term is <= 1/3).  Every sum is taken in log space over the
+    taps of positive weight, shifted by the largest of their exponents,
+    so no exp overflows.
+    """
+    dt, n = resolve_dt(params.h)
+    stencils = _stencils(dt, dx)
+    offsets, weights = kernel.discrete_weights(dx)
+    taps = (np.arange(stencils[0].size) - stencils[0].size // 2) * dx
+
+    def log_hat(w, x):
+        x, w = x[w > 0.0], w[w > 0.0]
+        top = x.max()
+        return lam * top + np.log(np.exp(np.outer(lam, x - top)) @ w)
+
+    ls, la, lb = (log_hat(st, taps) for st in stencils)
+    lk = math.log(params.p) + log_hat(weights, offsets * dx)
+    if n == 0:
+        ahead = np.logaddexp(ls, lk + np.logaddexp(la, lb))
+        return np.logaddexp(np.logaddexp(ls, lk + la), lk + lb + ahead)
+    lo = np.maximum(np.maximum(ls, (lk + la) / (n + 1)), (lk + lb) / n)
+    hi = lo + math.log(3.0)
+    while True:
+        y = 0.5 * (lo + hi)
+        if np.all((y == lo) | (y == hi)):
+            return y
+        above = np.logaddexp(np.logaddexp(ls - y, lk + la - (n + 1) * y),
+                             lk + lb - n * y) > 0.0
+        lo, hi = np.where(above, y, lo), np.where(above, hi, y)
+
+
 def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
                g: BirthFunction) -> SimState:
     """Allocate the grid, build the stencils, pre-fill the history.
@@ -268,15 +344,9 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     building any operator, when the widest stencil (K's reach or the m
     substeps of S, Pa and Pb) plus two cells spans the whole domain.
     """
-    n_cells = int(round(cfg.length / cfg.dx)) + 1
     dt, n_delay = resolve_dt(params.h)
-    reach = max(kernel.reach(cfg.dx), _substeps(dt, cfg.dx))
-    if reach + 2 >= n_cells - 1:
-        raise DomainError(
-            f"the stencils reach {reach * cfg.dx:g} units per side, which "
-            f"leaves no room on a {cfg.length:g}-unit domain; lengthen it "
-            "or coarsen dx")
-    cells = np.arange(n_cells)
+    reach = _reach(cfg, kernel, dt)
+    cells = np.arange(int(round(cfg.length / cfg.dx)) + 1)
     u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
     s, pa, pb = _stencils(dt, cfg.dx)
     _, weights = kernel.discrete_weights(cfg.dx)
@@ -349,14 +419,30 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
         g: BirthFunction, reference_speed: Optional[float] = None) -> SimResult:
     """Evolve to t_end (or until the front nears the boundary) and fit.
 
-    The run stops early, flagged hit_boundary, once the front enters the
-    zone where convolution padding distorts the dynamics; the trace up
-    to that point is still fitted.  A run that starts in that zone
-    raises DomainError.
+    The grid ends where the front cannot reach by t_end (see the module
+    docstring), or at cfg.length if that comes first; the stencils'
+    reach is checked against cfg.length before K is discretized to find
+    that end.  The run stops early, flagged hit_boundary, once the front
+    enters the zone where convolution padding distorts the dynamics; the
+    trace up to that point is still fitted.  A run that starts in that
+    zone raises DomainError.
     """
     if abs(g.p - params.p) > 1e-12:
         raise DomainError(
             f"birth function slope {g.p:g} disagrees with params.p {params.p:g}")
+    dt, n_delay = resolve_dt(params.h)
+    reach = _reach(cfg, kernel, dt)
+    n_steps = math.ceil(cfg.t_end / dt)
+    lam = _DECAY_RATES
+    # c_lam Delta per macro step, over t + h <= (n_steps + N + 1) Delta;
+    # capped so the majorant's advance never passes cfg.length
+    horizon = n_steps + n_delay + 1.0
+    advance = np.minimum(_log_growth(lam, cfg.dx, params, kernel) / lam,
+                         cfg.length / horizon)
+    edge = cfg.init_width + float(np.min(advance * horizon + _MAJORANT_DROP / lam))
+    cells = max(20, math.ceil(min(edge, cfg.length) / cfg.dx) + reach + 2)
+    if cells < round(cfg.length / cfg.dx):
+        cfg = replace(cfg, length=cells * cfg.dx)
     state = make_state(cfg, params, kernel, g)
     theta = _FRONT_FRACTION * g.equilibrium
     stop_x = cfg.length - state.reach * cfg.dx - 2.0 * cfg.dx
@@ -365,7 +451,6 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     if fronts[0] >= stop_x:
         raise DomainError(f"initial front x={fronts[0]:g} is already at or "
                           f"past the stop line x={stop_x:g}")
-    n_steps = int(math.ceil(cfg.t_end / state.dt))
     hit_boundary = False
     for _ in range(n_steps):
         step(state, g)

@@ -17,8 +17,10 @@ from wavespeed.errors import DomainError
 from wavespeed.front_sim import (
     BirthFunction,
     SimConfig,
+    SimResult,
     _BLOCK,
     _blocked,
+    _log_growth,
     _stencils,
     fit_front_speed,
     front_position,
@@ -378,16 +380,18 @@ class TestRun:
         assert result.clamp_events == 0
 
     @pytest.mark.parametrize("kernel", [
-        TwoPointKernel(1e4), UniformKernel(500.0), GaussianKernel(2500.0)])
+        TwoPointKernel(1e4), UniformKernel(500.0), GaussianKernel(2500.0),
+        UniformKernel(1e6)])
     def test_refuses_kernel_wider_than_domain_unbuilt(self, monkeypatch,
                                                       kernel):
         # each blocked operator costs 256 bytes per tap, and the taps
         # themselves up to 800 MB (uniform:a=1e6), so stencils that reach
         # across the whole domain are refused before the kernel is
-        # discretized or any operator is built
+        # discretized (to size the grid, too) or any operator is built
         def unbuilt(*args):
             raise AssertionError("the kernel or an operator was built")
         monkeypatch.setattr(front_sim, "_blocked", unbuilt)
+        monkeypatch.setattr(front_sim, "_stencils", unbuilt)
         monkeypatch.setattr(type(kernel), "discrete_weights", unbuilt)
         with pytest.raises(DomainError, match="stencils reach .* lengthen"):
             run(SimConfig(), ModelParams(p=2.0, h=0.0), kernel,
@@ -597,3 +601,165 @@ class TestDispersionOracle:
         c_grid = solve_critical(params, sampled).c_star
         c_delta = _scheme_speed(cfg, params, kernel)
         assert abs(c_delta / c_grid - 1.0) <= 0.0075
+
+
+def _roots_growth(dx, params, kernel, lam):
+    """rho(lam) as _scheme_speed finds it: np.roots of the same relation."""
+    dt, n = resolve_dt(params.h)
+    stencils = _stencils(dt, dx)
+    offsets, weights = kernel.discrete_weights(dx)
+    half = stencils[0].size // 2
+    taps = np.arange(-half, half + 1) * dx
+    s_hat, a_hat, b_hat = (float(np.sum(st * np.exp(lam * taps)))
+                           for st in stencils)
+    pm = params.p * float(np.sum(weights * np.exp(lam * offsets * dx)))
+    if n == 0:
+        return s_hat + pm * a_hat + pm * b_hat * (s_hat + pm * (a_hat + b_hat))
+    coeffs = np.zeros(n + 2)
+    coeffs[0] = 1.0
+    coeffs[1] -= s_hat
+    coeffs[n] -= pm * b_hat
+    coeffs[n + 1] -= pm * a_hat
+    return max(r.real for r in np.roots(coeffs) if abs(r.imag) <= 1e-9 * abs(r))
+
+
+class TestGrowthFactor:
+    """rho(lam), the linear step's growth, and the majorant it gives."""
+
+    @pytest.mark.parametrize("kernel", [DiracKernel(), GaussianKernel(1.0)])
+    @pytest.mark.parametrize("h", [0.0, 1.0])          # N = 0 and N = 10
+    def test_matches_polynomial_roots(self, kernel, h):
+        params = ModelParams(p=2.0, h=h)
+        lam = np.array([0.1, 0.5, 1.0, 2.0])
+        rho = np.exp(_log_growth(lam, 0.1, params, kernel))
+        for lam_i, rho_i in zip(lam, rho):
+            ref = _roots_growth(0.1, params, kernel, lam_i)
+            assert abs(rho_i / ref - 1.0) <= 1e-12, (lam_i, rho_i, ref)
+
+    @pytest.mark.parametrize("kernel, h", [
+        (DiracKernel(), 0.0), (GaussianKernel(1.0), 1.0)])
+    def test_scheme_speed_is_the_least_growth_speed(self, kernel, h):
+        # c*_Delta = min over lam of c_lam = ln rho / (lam Delta); a dense
+        # scan lands within its curvature times the spacing squared
+        cfg = SimConfig(length=400.0, dx=0.1)
+        params = ModelParams(p=2.0, h=h)
+        lam = np.linspace(0.05, 3.0, 3000)
+        dt, _ = resolve_dt(h)
+        c_min = float(np.min(_log_growth(lam, 0.1, params, kernel) / (lam * dt)))
+        c_delta = _scheme_speed(cfg, params, kernel)
+        assert -1e-12 <= c_min / c_delta - 1.0 <= 1e-6
+
+    @pytest.mark.parametrize("kernel, h", [
+        (DiracKernel(), 0.0), (GaussianKernel(1.0), 1.0)])
+    def test_field_stays_under_majorant(self, kernel, h):
+        # u <= u* exp(lam (x0 + c_lam (t + h) - x)) at every step and cell:
+        # the operators are nonnegative and g(u) <= p u (Weinberger)
+        cfg = SimConfig(length=100.0, dx=0.1, t_end=20.0)
+        params = ModelParams(p=2.0, h=h)
+        g = BirthFunction.nicholson(2.0)
+        lam = np.array([0.5, 1.0, 2.0])
+        state = make_state(cfg, params, kernel, g)
+        speeds = _log_growth(lam, cfg.dx, params, kernel) / (lam * state.dt)
+        x = np.arange(state.u.size) * cfg.dx
+        for _ in range(200):
+            step(state, g)
+            for lam_i, c_i in zip(lam, speeds):
+                log_bound = lam_i * (cfg.init_width + c_i * (state.t + h) - x)
+                bound = g.equilibrium * np.exp(log_bound)
+                assert np.all(state.u <= bound * (1.0 + 1e-12)), (state.t, lam_i)
+
+
+def _full_grid_run(cfg, params, kernel, g):
+    """run on the whole of cfg.length, as make_state and step give it."""
+    state = make_state(cfg, params, kernel, g)
+    theta = 0.5 * g.equilibrium
+    stop_x = cfg.length - state.reach * cfg.dx - 2.0 * cfg.dx
+    times, fronts = [0.0], [front_position(state.u, cfg.dx, theta)]
+    hit_boundary = False
+    for _ in range(math.ceil(cfg.t_end / state.dt)):
+        step(state, g)
+        times.append(state.t)
+        fronts.append(front_position(state.u, cfg.dx, theta))
+        if fronts[-1] >= stop_x:
+            hit_boundary = True
+            break
+    speed, resid = fit_front_speed(times, fronts)
+    return SimResult(times=tuple(times), front=tuple(fronts), speed=speed,
+                     fit_residual=resid, reference_speed=None,
+                     hit_boundary=hit_boundary,
+                     clamp_events=state.clamp_events, dt=state.dt, dx=cfg.dx)
+
+
+class TestTrimmedGrid:
+    """run simulates only up to where the majorant falls to 2^-53 u*."""
+
+    @pytest.mark.parametrize("kernel, h, dx, p", [
+        (DiracKernel(), 0.0, 0.1, 2.0),
+        (DiracKernel(), 0.5, 0.2, 5.0),
+        (DiracKernel(), 3.0, 0.1, 2.0),
+        (GaussianKernel(0.25), 0.0, 0.2, 5.0),
+        (GaussianKernel(0.25), 1.0, 0.1, 2.0),
+        (GaussianKernel(1.0), 0.5, 0.2, 2.0),
+        (GaussianKernel(1.0), 3.0, 0.2, 5.0),
+        (UniformKernel(1.0), 0.0, 0.1, 5.0),
+        (UniformKernel(1.0), 1.0, 0.2, 2.0),
+        (TwoPointKernel(1.0), 0.0, 0.2, 2.0),
+        (TwoPointKernel(1.0), 0.5, 0.1, 5.0),
+        (TwoPointKernel(1.0), 3.0, 0.2, 2.0),
+    ])
+    def test_bit_identical_to_full_grid(self, kernel, h, dx, p):
+        cfg = SimConfig(length=400.0, dx=dx, t_end=30.0)
+        params = ModelParams(p=p, h=h)
+        g = BirthFunction.nicholson(p)
+        assert run(cfg, params, kernel, g) == _full_grid_run(cfg, params,
+                                                              kernel, g)
+
+    @pytest.mark.parametrize("init_width", [18.0, 22.0])
+    @pytest.mark.parametrize("kernel, h", [
+        (DiracKernel(), 0.0), (GaussianKernel(1.0), 1.0)],
+        ids=["local", "nonlocal"])
+    def test_a9_bit_identical_to_full_grid(self, kernel, h, init_width):
+        cfg = SimConfig(length=400.0, dx=0.1, t_end=100.0,
+                        init_width=init_width)
+        params = ModelParams(p=2.0, h=h)
+        g = BirthFunction.nicholson(2.0)
+        assert run(cfg, params, kernel, g) == _full_grid_run(cfg, params,
+                                                              kernel, g)
+
+    def test_cost_follows_reach_not_length(self, monkeypatch):
+        lengths = []
+        built = front_sim.make_state
+
+        def spy(cfg, *args):
+            lengths.append(cfg.length)
+            return built(cfg, *args)
+        monkeypatch.setattr(front_sim, "make_state", spy)
+        params = ModelParams(p=2.0, h=0.0)
+        g = BirthFunction.nicholson(2.0)
+        long, short = (run(SimConfig(length=length, t_end=20.0), params,
+                           DiracKernel(), g) for length in (4000.0, 150.0))
+        assert long == short
+        assert not long.hit_boundary
+        assert lengths[0] == lengths[1] < 150.0
+
+    @pytest.mark.parametrize("kernel, p, h, dx, length, t_end", [
+        (TwoPointKernel(100.0), 400.0, 10.0, 0.5, 300.0, 2.0),  # e^{20*100}
+        (GaussianKernel(100.0), 2.0, 50.0, 0.5, 300.0, 2.0),    # N = 500
+        (DiracKernel(), 1.0 + 1e-12, 3.0, 0.1, 300.0, 2.0),     # rho ~ 1
+        # zero-weight taps 50 units out: exp(20 * 50) would overflow
+        (TabulatedKernel([0.0, 50.0], [1.0, 0.0]), 2.0, 0.0, 0.5, 300.0, 2.0),
+        (TabulatedKernel([0.0, 50.0], [1.0, 0.0]), 2.0, 1.0, 0.5, 300.0, 2.0),
+        # Pa and Pb carry zero taps one dx past their support
+        (DiracKernel(), 2.0, 0.0, 40.0, 1000.0, 2.0),
+        (DiracKernel(), 2.0, 1.0, 40.0, 1000.0, 2.0),
+        # c_lam * t_end overflows; the run stops at the boundary instead
+        (DiracKernel(), 2.0, 0.0, 0.1, 60.0, 1e307),
+        (DiracKernel(), 2.0, 0.0, 0.1, 60.0, 1.5e307),
+    ])
+    def test_sizing_overflows_nowhere(self, kernel, p, h, dx, length, t_end):
+        # tier-1 raises RuntimeWarning: log space keeps every sum finite
+        cfg = SimConfig(length=length, dx=dx, t_end=t_end)
+        result = run(cfg, ModelParams(p=p, h=h), kernel,
+                     BirthFunction.nicholson(p))
+        assert math.isfinite(result.speed)
+        assert result.hit_boundary == (t_end > 2.0)
