@@ -53,8 +53,8 @@ Fixed choices, none of them settable:
     that reach across the whole domain are refused from K's reach and m
     alone (Kernel.reach, _substeps), before K is discretized or any
     operator is built.
-  * The length only bounds the domain: run simulates no further than
-    the cells the front can reach by t_end.  The operators are
+  * The length only bounds the domain: make_state allocates no more
+    than the cells the front can reach by t_end.  The operators are
     nonnegative and g(u) <= p u, so u stays below the linearized
     scheme's solution (Weinberger, SIAM J. Math. Anal. 13 (1982) 353),
     and so below u* exp(lam (x0 + c_lam (t + h) - x)) for every lam > 0,
@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,11 +143,11 @@ class BirthFunction:
 class SimConfig:
     """Grid, time horizon and initial step of one run.
 
-    length bounds the domain; run simulates only up to where the linear
-    majorant falls to 2^-53 of g's equilibrium by t_end, when that is
-    shorter.  The time step (0.1 snapped to divide h, in substeps of at
-    most 0.45*dx^2) and the front's level (half g's equilibrium) are
-    fixed.
+    length bounds the domain; make_state sizes the grid only up to where
+    the linear majorant falls to 2^-53 of g's equilibrium by t_end, when
+    that is shorter.  The time step (0.1 snapped to divide h, in substeps
+    of at most 0.45*dx^2) and the front's level (half g's equilibrium)
+    are fixed.
     """
 
     length: float = 400.0
@@ -174,10 +174,10 @@ class SimState:
 
     apply_s, apply_pa, apply_pb and apply_k apply the step's stencils
     S, Pa, Pb (mirror ghosts) and the discrete kernel K (edge
-    replication) as blocked products (see _blocked); reach is the
-    widest of their half-widths, in cells.  forcing is
-    F_n = K * g(u_{n-N}), carried so that each history slice meets K
-    once (at N = 0, step takes F_n from u_n instead).
+    replication) as blocked products (see _blocked); a run stops at
+    stop_x, two cells before the widest one reaches the grid's end.
+    forcing is F_n = K * g(u_{n-N}), carried so that each history slice
+    meets K once (at N = 0, step takes F_n from u_n instead).
     """
 
     u: np.ndarray
@@ -189,7 +189,7 @@ class SimState:
     apply_k: Callable[[np.ndarray], np.ndarray]
     dt: float                      # the macro step Delta
     n_delay: int                   # N = h / Delta (0 means no delay)
-    reach: int                     # cells the widest operator reads per side
+    stop_x: float                  # the run stops once the front reaches it
     t: float = 0.0
     clamp_events: int = 0
 
@@ -219,7 +219,12 @@ def resolve_dt(h: float) -> tuple[float, int]:
 
 def _substeps(dt: float, dx: float) -> int:
     """m, the explicit substeps of at most _STABILITY*dx^2 in a macro step."""
-    return math.ceil(dt / (_STABILITY * dx * dx) - 1e-12)
+    m = math.ceil(dt / (_STABILITY * dx * dx) - 1e-12)
+    if m < 1:                      # Delta <= 1e-12 of the substep limit
+        raise DomainError(f"the macro step {dt:g} is at most 1e-12 of the "
+                          f"substep limit 0.45*dx^2 = {_STABILITY * dx * dx:g}; "
+                          "refine dx or lengthen the delay")
+    return m
 
 
 def _stencils(dt: float, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,23 +284,8 @@ def _blocked(stencil: np.ndarray, gather: np.ndarray):
     return apply
 
 
-def _reach(cfg: SimConfig, kernel: Kernel, dt: float) -> int:
-    """The widest stencil's half-width in cells: K's reach or S's m substeps.
-
-    Raises DomainError when that reach plus two cells spans the whole
-    domain; it needs neither K's weights nor any stencil.
-    """
-    reach = max(kernel.reach(cfg.dx), _substeps(dt, cfg.dx))
-    if reach + 2 >= int(round(cfg.length / cfg.dx)):
-        raise DomainError(
-            f"the stencils reach {reach * cfg.dx:g} units per side, which "
-            f"leaves no room on a {cfg.length:g}-unit domain; lengthen it "
-            "or coarsen dx")
-    return reach
-
-
-def _log_growth(lam: np.ndarray, dx: float, params: ModelParams,
-                kernel: Kernel) -> np.ndarray:
+def _log_growth(lam: np.ndarray, stencils, kernel_taps, dx: float, p: float,
+                n: int) -> np.ndarray:
     """ln rho(lam): the linearized step's growth per macro step, per lam.
 
     Linearized at u = 0 (g(u) = p u), a step maps rho^n e^{-lam x} to
@@ -310,9 +300,7 @@ def _log_growth(lam: np.ndarray, dx: float, params: ModelParams,
     taps of positive weight, shifted by the largest of their exponents,
     so no exp overflows.
     """
-    dt, n = resolve_dt(params.h)
-    stencils = _stencils(dt, dx)
-    offsets, weights = kernel.discrete_weights(dx)
+    offsets, weights = kernel_taps
     taps = (np.arange(stencils[0].size) - stencils[0].size // 2) * dx
 
     def log_hat(w, x):
@@ -321,7 +309,7 @@ def _log_growth(lam: np.ndarray, dx: float, params: ModelParams,
         return lam * top + np.log(np.exp(np.outer(lam, x - top)) @ w)
 
     ls, la, lb = (log_hat(st, taps) for st in stencils)
-    lk = math.log(params.p) + log_hat(weights, offsets * dx)
+    lk = math.log(p) + log_hat(weights, offsets * dx)
     if n == 0:
         ahead = np.logaddexp(ls, lk + np.logaddexp(la, lb))
         return np.logaddexp(np.logaddexp(ls, lk + la), lk + lb + ahead)
@@ -338,18 +326,39 @@ def _log_growth(lam: np.ndarray, dx: float, params: ModelParams,
 
 def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
                g: BirthFunction) -> SimState:
-    """Allocate the grid, build the stencils, pre-fill the history.
+    """Size the grid, build the stencils, pre-fill the history.
 
-    Raises DomainError, before allocating the grid, discretizing K or
-    building any operator, when the widest stencil (K's reach or the m
-    substeps of S, Pa and Pb) plus two cells spans the whole domain.
+    The grid ends at cfg.length or, if sooner, where the front cannot
+    reach by t_end (see the module docstring).  Raises DomainError,
+    before discretizing K or building any operator, when the widest
+    stencil (K's reach or the m substeps of S, Pa and Pb) plus two cells
+    spans cfg.length.
     """
+    dx = cfg.dx
     dt, n_delay = resolve_dt(params.h)
-    reach = _reach(cfg, kernel, dt)
-    cells = np.arange(int(round(cfg.length / cfg.dx)) + 1)
-    u0 = np.where(cells * cfg.dx <= cfg.init_width, float(g.equilibrium), 0.0)
-    s, pa, pb = _stencils(dt, cfg.dx)
-    _, weights = kernel.discrete_weights(cfg.dx)
+    reach = max(kernel.reach(dx), _substeps(dt, dx))
+    size = int(round(cfg.length / dx))
+    if reach + 2 >= size:
+        raise DomainError(
+            f"the stencils reach {reach * dx:g} units per side, which "
+            f"leaves no room on a {cfg.length:g}-unit domain; lengthen it "
+            "or coarsen dx")
+    s, pa, pb = _stencils(dt, dx)
+    offsets, weights = kernel.discrete_weights(dx)
+    lam = _DECAY_RATES
+    # c_lam Delta per macro step, over t + h <= (n_steps + N + 1) Delta;
+    # capped so the majorant's advance never passes cfg.length
+    horizon = math.ceil(cfg.t_end / dt) + n_delay + 1.0
+    growth = _log_growth(lam, (s, pa, pb), (offsets, weights), dx, params.p,
+                         n_delay)
+    advance = np.minimum(growth / lam, cfg.length / horizon)
+    edge = cfg.init_width + float(np.min(advance * horizon + _MAJORANT_DROP / lam))
+    length = cfg.length
+    trimmed = max(20, math.ceil(min(edge, cfg.length) / dx) + reach + 2)
+    if trimmed < size:
+        size, length = trimmed, trimmed * dx
+    cells = np.arange(size + 1)
+    u0 = np.where(cells * dx <= cfg.init_width, float(g.equilibrium), 0.0)
     reflect = np.pad(cells, s.size // 2, mode="reflect")
     apply_k = _blocked(weights, np.pad(cells, weights.size // 2, mode="edge"))
     history = deque(u0.copy() for _ in range(n_delay))
@@ -357,7 +366,8 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     return SimState(u=u0, history=history, forcing=apply_k(g(history[0])),
                     apply_s=_blocked(s, reflect), apply_pa=_blocked(pa, reflect),
                     apply_pb=_blocked(pb, reflect), apply_k=apply_k,
-                    dt=dt, n_delay=n_delay, reach=reach)
+                    dt=dt, n_delay=n_delay,
+                    stop_x=length - reach * dx - 2.0 * dx)
 
 
 def step(state: SimState, g: BirthFunction) -> SimState:
@@ -419,45 +429,28 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
         g: BirthFunction, reference_speed: Optional[float] = None) -> SimResult:
     """Evolve to t_end (or until the front nears the boundary) and fit.
 
-    The grid ends where the front cannot reach by t_end (see the module
-    docstring), or at cfg.length if that comes first; the stencils'
-    reach is checked against cfg.length before K is discretized to find
-    that end.  The run stops early, flagged hit_boundary, once the front
-    enters the zone where convolution padding distorts the dynamics; the
-    trace up to that point is still fitted.  A run that starts in that
-    zone raises DomainError.
+    make_state sizes the grid and sets the stop line.  The run stops
+    early, flagged hit_boundary, once the front crosses that line, where
+    convolution padding would distort the dynamics; the trace up to that
+    point is still fitted.  A run that starts past it raises DomainError.
     """
     if abs(g.p - params.p) > 1e-12:
         raise DomainError(
             f"birth function slope {g.p:g} disagrees with params.p {params.p:g}")
-    dt, n_delay = resolve_dt(params.h)
-    reach = _reach(cfg, kernel, dt)
-    n_steps = math.ceil(cfg.t_end / dt)
-    lam = _DECAY_RATES
-    # c_lam Delta per macro step, over t + h <= (n_steps + N + 1) Delta;
-    # capped so the majorant's advance never passes cfg.length
-    horizon = n_steps + n_delay + 1.0
-    advance = np.minimum(_log_growth(lam, cfg.dx, params, kernel) / lam,
-                         cfg.length / horizon)
-    edge = cfg.init_width + float(np.min(advance * horizon + _MAJORANT_DROP / lam))
-    cells = max(20, math.ceil(min(edge, cfg.length) / cfg.dx) + reach + 2)
-    if cells < round(cfg.length / cfg.dx):
-        cfg = replace(cfg, length=cells * cfg.dx)
     state = make_state(cfg, params, kernel, g)
     theta = _FRONT_FRACTION * g.equilibrium
-    stop_x = cfg.length - state.reach * cfg.dx - 2.0 * cfg.dx
     times = [0.0]
     fronts = [front_position(state.u, cfg.dx, theta)]
-    if fronts[0] >= stop_x:
+    if fronts[0] >= state.stop_x:
         raise DomainError(f"initial front x={fronts[0]:g} is already at or "
-                          f"past the stop line x={stop_x:g}")
+                          f"past the stop line x={state.stop_x:g}")
     hit_boundary = False
-    for _ in range(n_steps):
+    for _ in range(math.ceil(cfg.t_end / state.dt)):
         step(state, g)
         xf = front_position(state.u, cfg.dx, theta)
         times.append(state.t)
         fronts.append(xf)
-        if xf >= stop_x:
+        if xf >= state.stop_x:
             hit_boundary = True
             break
     speed, resid = fit_front_speed(times, fronts)

@@ -345,6 +345,15 @@ class TestSimulateCommand:
         assert "stop line" in capsys.readouterr().err
 
 
+    def test_rejects_macro_step_below_substep_resolution(self, capsys):
+        # at dx 5e5 a 0.1 macro step is 9e-13 of 0.45 dx^2: zero substeps
+        assert main(["simulate", "--p", "2", "--h", "0", "--kernel", "dirac",
+                     "--dx", "5e5", "--length", "1e7", "--t-end", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "substep limit" in err, err
+        assert len(err.splitlines()) == 1, err
+
+
 class TestFigure2Command:
     def test_refuses_to_write_disagreeing_paths(self, monkeypatch, tmp_path,
                                                 capsys):

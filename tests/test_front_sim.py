@@ -1,5 +1,6 @@
 """Direct front simulation: configuration, stepping, and measurement."""
 
+import dataclasses
 import json
 import math
 import os
@@ -410,6 +411,21 @@ class TestRun:
             run(cfg, ModelParams(p=2.0, h=1.0), DiracKernel(),
                 BirthFunction.nicholson(2.0))
 
+    @pytest.mark.parametrize("cfg, h", [
+        (SimConfig(length=1e7, dx=5e5, t_end=1.0), 0.0),   # 0.45 dx^2 ~ 1e11
+        (SimConfig(length=400.0, dx=0.1, t_end=1.0), 1e-300),
+    ], ids=["coarse-dx", "tiny-delay"])
+    def test_refuses_macro_step_below_substep_resolution(self, monkeypatch,
+                                                         cfg, h):
+        # Delta at most 1e-12 of 0.45 dx^2 would round m down to 0
+        # substeps; the limit is named before any stencil is built
+        def unbuilt(*args):
+            raise AssertionError("the stencils were built")
+        monkeypatch.setattr(front_sim, "_stencils", unbuilt)
+        with pytest.raises(DomainError, match="substep limit"):
+            run(cfg, ModelParams(p=2.0, h=h), DiracKernel(),
+                BirthFunction.nicholson(2.0))
+
     def test_rejects_mismatched_slope(self):
         cfg = SimConfig(length=30.0, dx=0.2, t_end=5.0)
         params = ModelParams(p=2.0, h=0.0)
@@ -437,9 +453,11 @@ class TestRegressionPin:
 def test_a9_fields_hold_no_subnormal():
     # the stencils' tails reach the right edge within a few hundred steps;
     # without the flush, u and F held dozens of subnormals by step 300
+    # (a horizon of 1e300 keeps the whole 400-unit grid; see _full_grid_run)
     g = BirthFunction.nicholson(2.0)
-    state = make_state(SimConfig(length=400.0, dx=0.1, t_end=30.0),
+    state = make_state(SimConfig(length=400.0, dx=0.1, t_end=1e300),
                        ModelParams(p=2.0, h=1.0), GaussianKernel(1.0), g)
+    assert state.u.size == 4001
     for n in range(300):
         step(state, g)
         assert _is_normal_or_zero(state.u), n
@@ -453,8 +471,9 @@ def test_fine_grid_fields_hold_no_subnormal():
     # 2^-119 (Pb); a fixed 2^-960 flush let up to 22 subnormal cells back
     # into u within 300 steps, a per-operator one lets none
     g = BirthFunction.nicholson(2.0)
-    state = make_state(SimConfig(length=400.0, dx=0.05, t_end=30.0),
+    state = make_state(SimConfig(length=400.0, dx=0.05, t_end=1e300),
                        ModelParams(p=2.0, h=1.0), GaussianKernel(1.0), g)
+    assert state.u.size == 8001
     for n in range(300):
         step(state, g)
         assert _is_normal_or_zero(state.u), n
@@ -623,6 +642,13 @@ def _roots_growth(dx, params, kernel, lam):
     return max(r.real for r in np.roots(coeffs) if abs(r.imag) <= 1e-9 * abs(r))
 
 
+def _growth(lam, dx, params, kernel):
+    """ln rho(lam) from _log_growth, on the operators a run builds."""
+    dt, n = resolve_dt(params.h)
+    return _log_growth(lam, _stencils(dt, dx), kernel.discrete_weights(dx),
+                       dx, params.p, n)
+
+
 class TestGrowthFactor:
     """rho(lam), the linear step's growth, and the majorant it gives."""
 
@@ -631,7 +657,7 @@ class TestGrowthFactor:
     def test_matches_polynomial_roots(self, kernel, h):
         params = ModelParams(p=2.0, h=h)
         lam = np.array([0.1, 0.5, 1.0, 2.0])
-        rho = np.exp(_log_growth(lam, 0.1, params, kernel))
+        rho = np.exp(_growth(lam, 0.1, params, kernel))
         for lam_i, rho_i in zip(lam, rho):
             ref = _roots_growth(0.1, params, kernel, lam_i)
             assert abs(rho_i / ref - 1.0) <= 1e-12, (lam_i, rho_i, ref)
@@ -645,7 +671,7 @@ class TestGrowthFactor:
         params = ModelParams(p=2.0, h=h)
         lam = np.linspace(0.05, 3.0, 3000)
         dt, _ = resolve_dt(h)
-        c_min = float(np.min(_log_growth(lam, 0.1, params, kernel) / (lam * dt)))
+        c_min = float(np.min(_growth(lam, 0.1, params, kernel) / (lam * dt)))
         c_delta = _scheme_speed(cfg, params, kernel)
         assert -1e-12 <= c_min / c_delta - 1.0 <= 1e-6
 
@@ -659,7 +685,7 @@ class TestGrowthFactor:
         g = BirthFunction.nicholson(2.0)
         lam = np.array([0.5, 1.0, 2.0])
         state = make_state(cfg, params, kernel, g)
-        speeds = _log_growth(lam, cfg.dx, params, kernel) / (lam * state.dt)
+        speeds = _growth(lam, cfg.dx, params, kernel) / (lam * state.dt)
         x = np.arange(state.u.size) * cfg.dx
         for _ in range(200):
             step(state, g)
@@ -670,17 +696,22 @@ class TestGrowthFactor:
 
 
 def _full_grid_run(cfg, params, kernel, g):
-    """run on the whole of cfg.length, as make_state and step give it."""
-    state = make_state(cfg, params, kernel, g)
+    """run on the whole of cfg.length, as make_state and step give it.
+
+    The state is built for a horizon of 1e300, whose majorant edge lies
+    past any length (ceil(1e300 / Delta) is still finite), so make_state
+    keeps the whole domain; the loop still stops at cfg.t_end.
+    """
+    state = make_state(dataclasses.replace(cfg, t_end=1e300), params, kernel, g)
+    assert state.u.size == round(cfg.length / cfg.dx) + 1
     theta = 0.5 * g.equilibrium
-    stop_x = cfg.length - state.reach * cfg.dx - 2.0 * cfg.dx
     times, fronts = [0.0], [front_position(state.u, cfg.dx, theta)]
     hit_boundary = False
     for _ in range(math.ceil(cfg.t_end / state.dt)):
         step(state, g)
         times.append(state.t)
         fronts.append(front_position(state.u, cfg.dx, theta))
-        if fronts[-1] >= stop_x:
+        if fronts[-1] >= state.stop_x:
             hit_boundary = True
             break
     speed, resid = fit_front_speed(times, fronts)
@@ -691,7 +722,8 @@ def _full_grid_run(cfg, params, kernel, g):
 
 
 class TestTrimmedGrid:
-    """run simulates only up to where the majorant falls to 2^-53 u*."""
+    """make_state sizes the grid only up to where the majorant falls to
+    2^-53 u*."""
 
     @pytest.mark.parametrize("kernel, h, dx, p", [
         (DiracKernel(), 0.0, 0.1, 2.0),
@@ -727,12 +759,13 @@ class TestTrimmedGrid:
                                                               kernel, g)
 
     def test_cost_follows_reach_not_length(self, monkeypatch):
-        lengths = []
+        sizes = []
         built = front_sim.make_state
 
-        def spy(cfg, *args):
-            lengths.append(cfg.length)
-            return built(cfg, *args)
+        def spy(*args):
+            state = built(*args)
+            sizes.append(state.u.size)
+            return state
         monkeypatch.setattr(front_sim, "make_state", spy)
         params = ModelParams(p=2.0, h=0.0)
         g = BirthFunction.nicholson(2.0)
@@ -740,7 +773,34 @@ class TestTrimmedGrid:
                            DiracKernel(), g) for length in (4000.0, 150.0))
         assert long == short
         assert not long.hit_boundary
-        assert lengths[0] == lengths[1] < 150.0
+        assert sizes[0] == sizes[1] < 1501           # 150 units of 0.1
+
+    @pytest.mark.parametrize("kernel, h", [
+        (DiracKernel(), 0.0), (GaussianKernel(1.0), 1.0)],
+        ids=["local", "nonlocal"])
+    def test_make_state_alone_sizes_the_grid(self, kernel, h):
+        # the grid and its stop line follow t_end, not a length past it
+        params = ModelParams(p=2.0, h=h)
+        g = BirthFunction.nicholson(2.0)
+        states = [make_state(SimConfig(length=length, t_end=20.0), params,
+                             kernel, g) for length in (150.0, 400.0, 4000.0)]
+        assert len({state.u.size for state in states}) == 1
+        assert len({state.stop_x for state in states}) == 1
+        assert states[0].u.size < 1501
+
+    @pytest.mark.parametrize("kernel, h", [
+        (DiracKernel(), 0.0), (GaussianKernel(1.0), 1.0)],
+        ids=["local", "nonlocal"])
+    def test_short_domain_keeps_its_length(self, kernel, h):
+        # the majorant's edge lies past 60 units: the whole domain stays,
+        # and the stop line sits two cells inside the widest stencil
+        state = make_state(SimConfig(length=60.0, t_end=20.0),
+                           ModelParams(p=2.0, h=h), kernel,
+                           BirthFunction.nicholson(2.0))
+        dt, _ = resolve_dt(h)
+        reach = max(kernel.reach(0.1), math.ceil(dt / (0.45 * 0.01) - 1e-12))
+        assert state.u.size == 601
+        assert state.stop_x == 60.0 - reach * 0.1 - 2.0 * 0.1
 
     @pytest.mark.parametrize("kernel, p, h, dx, length, t_end", [
         (TwoPointKernel(100.0), 400.0, 10.0, 0.5, 300.0, 2.0),  # e^{20*100}
