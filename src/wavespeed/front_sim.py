@@ -174,8 +174,10 @@ class SimState:
 
     apply_s, apply_pa, apply_pb and apply_k apply the step's stencils
     S, Pa, Pb (mirror ghosts) and the discrete kernel K (edge
-    replication) as blocked products (see _blocked); a run stops at
-    stop_x, two cells before the widest one reaches the grid's end.
+    replication) as blocked products (see _blocked); a run takes at
+    most n_steps macro steps, the horizon the grid was sized for, and
+    stops at stop_x, two cells before the widest stencil reaches the
+    grid's end.
     forcing is F_n = K * g(u_{n-N}), carried so that each history slice
     meets K once (at N = 0, step takes F_n from u_n instead).
     """
@@ -189,6 +191,7 @@ class SimState:
     apply_k: Callable[[np.ndarray], np.ndarray]
     dt: float                      # the macro step Delta
     n_delay: int                   # N = h / Delta (0 means no delay)
+    n_steps: int                   # ceil(t_end / Delta)
     stop_x: float                  # the run stops once the front reaches it
     t: float = 0.0
     clamp_events: int = 0
@@ -348,7 +351,8 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     lam = _DECAY_RATES
     # c_lam Delta per macro step, over t + h <= (n_steps + N + 1) Delta;
     # capped so the majorant's advance never passes cfg.length
-    horizon = math.ceil(cfg.t_end / dt) + n_delay + 1.0
+    n_steps = math.ceil(cfg.t_end / dt)
+    horizon = n_steps + n_delay + 1.0
     growth = _log_growth(lam, (s, pa, pb), (offsets, weights), dx, params.p,
                          n_delay)
     advance = np.minimum(growth / lam, cfg.length / horizon)
@@ -366,7 +370,7 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     return SimState(u=u0, history=history, forcing=apply_k(g(history[0])),
                     apply_s=_blocked(s, reflect), apply_pa=_blocked(pa, reflect),
                     apply_pb=_blocked(pb, reflect), apply_k=apply_k,
-                    dt=dt, n_delay=n_delay,
+                    dt=dt, n_delay=n_delay, n_steps=n_steps,
                     stop_x=length - reach * dx - 2.0 * dx)
 
 
@@ -429,7 +433,8 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
         g: BirthFunction, reference_speed: Optional[float] = None) -> SimResult:
     """Evolve to t_end (or until the front nears the boundary) and fit.
 
-    make_state sizes the grid and sets the stop line.  The run stops
+    make_state sizes the grid for its n_steps steps and sets the stop
+    line.  The run stops
     early, flagged hit_boundary, once the front crosses that line, where
     convolution padding would distort the dynamics; the trace up to that
     point is still fitted.  A run that starts past it raises DomainError.
@@ -445,7 +450,7 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
         raise DomainError(f"initial front x={fronts[0]:g} is already at or "
                           f"past the stop line x={state.stop_x:g}")
     hit_boundary = False
-    for _ in range(math.ceil(cfg.t_end / state.dt)):
+    for _ in range(state.n_steps):
         step(state, g)
         xf = front_position(state.u, cfg.dx, theta)
         times.append(state.t)

@@ -293,7 +293,7 @@ class TestStepping:
         result = run(cfg, params, GaussianKernel(1.0), g)
         assert len(result.front) == 201
         assert result.clamp_events == 0
-        state = make_state(cfg, params, GaussianKernel(1.0), g)
+        state = _full_domain_state(cfg, params, GaussianKernel(1.0), g)
         top = 0.0
         for _ in range(200):
             step(state, g)
@@ -450,14 +450,24 @@ class TestRegressionPin:
         assert abs(result.speed / speed - 1.0) <= 1e-11
 
 
+def _full_domain_state(cfg, params, kernel, g):
+    """make_state's state on the whole of cfg.length.
+
+    It is built for a horizon of 1e300, whose majorant edge lies past
+    any length (ceil(1e300 / Delta) is still finite), so make_state
+    trims nothing; the caller chooses how many steps to take.
+    """
+    state = make_state(dataclasses.replace(cfg, t_end=1e300), params, kernel, g)
+    assert state.u.size == round(cfg.length / cfg.dx) + 1
+    return state
+
+
 def test_a9_fields_hold_no_subnormal():
     # the stencils' tails reach the right edge within a few hundred steps;
     # without the flush, u and F held dozens of subnormals by step 300
-    # (a horizon of 1e300 keeps the whole 400-unit grid; see _full_grid_run)
     g = BirthFunction.nicholson(2.0)
-    state = make_state(SimConfig(length=400.0, dx=0.1, t_end=1e300),
-                       ModelParams(p=2.0, h=1.0), GaussianKernel(1.0), g)
-    assert state.u.size == 4001
+    state = _full_domain_state(SimConfig(length=400.0, dx=0.1), ModelParams(
+        p=2.0, h=1.0), GaussianKernel(1.0), g)
     for n in range(300):
         step(state, g)
         assert _is_normal_or_zero(state.u), n
@@ -471,9 +481,8 @@ def test_fine_grid_fields_hold_no_subnormal():
     # 2^-119 (Pb); a fixed 2^-960 flush let up to 22 subnormal cells back
     # into u within 300 steps, a per-operator one lets none
     g = BirthFunction.nicholson(2.0)
-    state = make_state(SimConfig(length=400.0, dx=0.05, t_end=1e300),
-                       ModelParams(p=2.0, h=1.0), GaussianKernel(1.0), g)
-    assert state.u.size == 8001
+    state = _full_domain_state(SimConfig(length=400.0, dx=0.05), ModelParams(
+        p=2.0, h=1.0), GaussianKernel(1.0), g)
     for n in range(300):
         step(state, g)
         assert _is_normal_or_zero(state.u), n
@@ -684,7 +693,7 @@ class TestGrowthFactor:
         params = ModelParams(p=2.0, h=h)
         g = BirthFunction.nicholson(2.0)
         lam = np.array([0.5, 1.0, 2.0])
-        state = make_state(cfg, params, kernel, g)
+        state = _full_domain_state(cfg, params, kernel, g)
         speeds = _growth(lam, cfg.dx, params, kernel) / (lam * state.dt)
         x = np.arange(state.u.size) * cfg.dx
         for _ in range(200):
@@ -696,14 +705,8 @@ class TestGrowthFactor:
 
 
 def _full_grid_run(cfg, params, kernel, g):
-    """run on the whole of cfg.length, as make_state and step give it.
-
-    The state is built for a horizon of 1e300, whose majorant edge lies
-    past any length (ceil(1e300 / Delta) is still finite), so make_state
-    keeps the whole domain; the loop still stops at cfg.t_end.
-    """
-    state = make_state(dataclasses.replace(cfg, t_end=1e300), params, kernel, g)
-    assert state.u.size == round(cfg.length / cfg.dx) + 1
+    """run on the whole of cfg.length, stopping at cfg.t_end."""
+    state = _full_domain_state(cfg, params, kernel, g)
     theta = 0.5 * g.equilibrium
     times, fronts = [0.0], [front_position(state.u, cfg.dx, theta)]
     hit_boundary = False
@@ -787,6 +790,8 @@ class TestTrimmedGrid:
         assert len({state.u.size for state in states}) == 1
         assert len({state.stop_x for state in states}) == 1
         assert states[0].u.size < 1501
+        # the step count the grid was sized for is the one run takes
+        assert {state.n_steps for state in states} == {200}
 
     @pytest.mark.parametrize("kernel, h", [
         (DiracKernel(), 0.0), (GaussianKernel(1.0), 1.0)],
