@@ -10,6 +10,9 @@ Subcommands:
     simulate  direct front simulation, fitted speed vs the solver's c*
     figure2   the reference speed-vs-delay dataset (p=2, gaussian:alpha=1)
 
+Only simulate, and a table: kernel, load numpy; the other commands are
+scalar math.
+
 Exit codes: 0 success, 2 argument or domain error, 3 numerical failure.
 All CSV output is deterministic: fixed column order, 12 significant
 digits, LF line endings.
@@ -26,7 +29,6 @@ from . import bounds as bounds_mod
 from .charfun import (G_value, H_value, ModelParams, R_value, _check_eps,
                       psi_eval)
 from .errors import ConvergenceError, DomainError, NumericalError
-from .front_sim import BirthFunction, SimConfig, run as run_sim
 from .kernels import GaussianKernel, Kernel, kernel_from_spec
 from .solver import (cardano_w0, continue_ode, min_psi, solve_critical,
                      solve_ivp_rho0, sweep_direct)
@@ -368,13 +370,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .front_sim import BirthFunction, SimConfig, run
     params = ModelParams(p=args.p, h=args.h)
     kind = "nicholson" if args.birth == "nicholson" else "capped-linear"
     g = BirthFunction(kind, args.p)
     cfg = SimConfig(length=args.length, dx=args.dx, t_end=args.t_end,
                     init_width=args.init_width)
     reference = solve_critical(params, args.kernel).c_star
-    result = run_sim(cfg, params, args.kernel, g, reference_speed=reference)
+    result = run(cfg, params, args.kernel, g, reference_speed=reference)
     print(f"fitted speed   = {_fmt(result.speed)}")
     print(f"reference c*   = {_fmt(reference)}")
     print(f"relative gap   = {_fmt(abs(result.speed - reference) / reference)}")

@@ -297,11 +297,12 @@ def _log_growth(lam: np.ndarray, stencils, kernel_taps, dx: float, p: float,
     N = 0 the predictor gives rho = S^ + pM^ Pa^ + pM^ Pb^ (S^ + pM^ (Pa^
     + Pb^)) instead).  By Descartes' rule of signs that relation has one
     positive root, where S^/rho + pM^ Pa^/rho^{N+1} + pM^ Pb^/rho^N
-    falls through 1.  That is bisected in y = ln rho, from the largest
-    of the three terms' own roots (the sum is >= 1 there) to ln 3 above
-    it (each term is <= 1/3).  Every sum is taken in log space over the
-    taps of positive weight, shifted by the largest of their exponents,
-    so no exp overflows.
+    falls through 1.  In y = ln rho the log of that sum is convex and
+    decreasing, so Newton's method from the largest of the three terms'
+    own roots (the log-sum is >= 0 there) rises monotonically to the
+    root; it stops once no lam's y rises further.  Every sum is taken in
+    log space over the taps of positive weight, shifted by the largest
+    of their exponents, so no exp overflows.
     """
     offsets, weights = kernel_taps
     taps = (np.arange(stencils[0].size) - stencils[0].size // 2) * dx
@@ -316,15 +317,15 @@ def _log_growth(lam: np.ndarray, stencils, kernel_taps, dx: float, p: float,
     if n == 0:
         ahead = np.logaddexp(ls, lk + np.logaddexp(la, lb))
         return np.logaddexp(np.logaddexp(ls, lk + la), lk + lb + ahead)
-    lo = np.maximum(np.maximum(ls, (lk + la) / (n + 1)), (lk + lb) / n)
-    hi = lo + math.log(3.0)
+    y = np.maximum(np.maximum(ls, (lk + la) / (n + 1)), (lk + lb) / n)
     while True:
-        y = 0.5 * (lo + hi)
-        if np.all((y == lo) | (y == hi)):
+        ts, ta, tb = ls - y, lk + la - (n + 1) * y, lk + lb - n * y
+        f = np.logaddexp(np.logaddexp(ts, ta), tb)
+        slope = np.exp(ts - f) + (n + 1) * np.exp(ta - f) + n * np.exp(tb - f)
+        y_new = np.maximum(y, y + f / slope)      # -slope is f's derivative
+        if not np.any(y_new > y):
             return y
-        above = np.logaddexp(np.logaddexp(ls - y, lk + la - (n + 1) * y),
-                             lk + lb - n * y) > 0.0
-        lo, hi = np.where(above, y, lo), np.where(above, hi, y)
+        y = y_new
 
 
 def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,

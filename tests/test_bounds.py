@@ -48,6 +48,12 @@ class TestExplicitConstants:
                 expected = math.log(p * kernel.mgf(root)) / root
                 assert rel(k2(p, kernel), expected) < 1e-14
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+    def test_constants_need_p_above_one(self, p):
+        for constant in (k1, k2):
+            with pytest.raises(DomainError):
+                constant(p, GAUSS1)
+
     def test_dirac_k2_is_exact_speed(self):
         # point kernel: M = 1, so k2 = sqrt(ln p), which is exactly the
         # unit-delay speed; the upper bound is sharp there

@@ -129,6 +129,12 @@ class TestWformResiduals:
                 + (h / math.sqrt(eps)) * math.exp(z * h) * ev.value
             assert abs(r_eww - lhs) <= 1e-10 * max(1.0, abs(r_eww), abs(lhs))
 
+    @pytest.mark.parametrize("w", [-1e-300, -0.5, math.nan, math.inf])
+    def test_rejects_negative_or_nonfinite_w(self, w):
+        with pytest.raises(DomainError, match="w must be finite and >= 0"):
+            wform_residuals(w, 1.0, ModelParams(p=2.0, h=1.0),
+                            GaussianKernel(1.0))
+
     def test_reduced_identity_on_zero_set(self):
         # where psi = 0 the second identity loses its psi term, so
         # rho_eww equals exp(z*h)/sqrt(eps) * psi_z there

@@ -215,6 +215,12 @@ class TestFrontPosition:
         u = np.zeros(5)
         assert front_position(u, 1.0, 0.5) == 0.0
 
+    @pytest.mark.parametrize("last", [0.5, 0.9])
+    def test_last_cell_at_or_above_threshold(self, last):
+        # no cell to its right to interpolate with: the last cell's x
+        u = np.array([1.0, 0.2, 0.8, last])
+        assert front_position(u, 0.5, 0.5) == 1.5
+
 
 class TestFitFrontSpeed:
     def test_exact_on_linear_trace(self):
@@ -223,6 +229,12 @@ class TestFitFrontSpeed:
         speed, rms = fit_front_speed(t, x)
         assert abs(speed - 2.0) < 1e-12
         assert rms < 1e-12
+
+    @pytest.mark.parametrize("times, positions", [
+        ([], []), ([1.0], [2.0]), ([0.0, 1.0], [2.0])])
+    def test_needs_two_matching_points(self, times, positions):
+        with pytest.raises(DomainError, match="at least two trace points"):
+            fit_front_speed(times, positions)
 
     def test_uses_trailing_window(self):
         # early transient must not contaminate the fit: the trailing 40 %

@@ -466,6 +466,10 @@ class TestCardanoW0:
                     abs(a1) * w0, abs(a0))
         assert abs(res) <= 1e-12 * scale
 
+    def test_triple_root_takes_the_near_triple_branch(self):
+        # (w - 1)^3: the depressed cubic has pc = qc = 0, one root remains
+        assert solver._real_cubic_roots(1.0, -3.0, 3.0, -1.0) == [1.0]
+
     def test_degenerate_cubic(self):
         with pytest.raises(CubicRootError, match="leading coefficient"):
             cardano_w0(1.0, 1.0, 1e-16)
