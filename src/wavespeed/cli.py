@@ -21,6 +21,7 @@ digits, LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional, Sequence
@@ -432,7 +433,10 @@ def _add_model_flags(sub, with_h: bool = True) -> None:
                           "twopoint:a=A | dirac | table:path.csv")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parse_args leaves it as
+    it was)."""
     parser = argparse.ArgumentParser(
         prog="wavespeed",
         description="Minimal front speed of a delayed nonlocal "

@@ -67,6 +67,18 @@ Fixed choices, none of them settable:
     below 2^-53 u* until the last step.  What the cut leaves at E moved
     no front by one bit on any configuration tested against the full
     length; the bound alone does not imply that.
+  * Each step updates only an active range of cells, so a run's cost
+    follows the cells the front can reach, not the grid: run ends it
+    where the same bound falls to 2^-106 u* by 1.5 times the step's time
+    (the cut's effect spreads back towards the front over time, so its
+    depth grows with the time run so far; at the step's own time a Dirac
+    front at p = 20 moved by 5e-4 by t = 50), and starts it eight widest
+    stencil reaches, and at least 40 units, behind the front (a 40-unit
+    cut moved the fronts of wide uniform and two-point kernels by up to
+    1e-3).  Both ends move in whole _BLOCKs.  Every front tested equals
+    that of stepping the whole grid bit for bit, except the two-point
+    kernel a = 15 at h = 0, 2.3e-13 off; the bounds alone do not imply
+    either.
   * Nothing checks the field's size: S, Pa and Pb are nonnegative with
     unit total weight and K has unit sum, so u never exceeds
     max(u_0, sup g), which is max(ln p, p/e) for Nicholson.
@@ -96,6 +108,10 @@ _BLOCK = 32  # output cells per row of a stencil's blocked product
 _FLUSH_CAP = 2.0 ** -500  # no operator reads inputs above this as zero
 _MAJORANT_DROP = 53 * math.log(2.0)  # the grid ends where u <= 2^-53 u*
 _DECAY_RATES = np.geomspace(0.02, 20.0, 48)  # lambdas tried for that edge
+_RANGE_DROP = 2 * _MAJORANT_DROP  # the active range ends where u <= 2^-106 u*
+_RANGE_TIME = 1.5  # ... by 1.5 times the step's time
+_TRAIL_FLOOR = 40.0  # the active range starts at least this far behind the front
+_TRAIL_REACHES = 8  # ... and at least this many widest stencil reaches
 
 
 @dataclass(frozen=True)
@@ -180,6 +196,17 @@ class SimState:
     grid's end.
     forcing is F_n = K * g(u_{n-N}), carried so that each history slice
     meets K once (at N = 0, step takes F_n from u_n instead).
+
+    step updates only the active range, cells [lo, hi), padding it at
+    both ends as if they were the grid's (mirror and edge ghosts).
+    make_state sets it to the whole grid; run narrows it in whole
+    _BLOCKs, with two margins.  hi sits at the trim's edge formula with
+    twice _MAJORANT_DROP (2^-106 u*), over the per-lam advance c_lam
+    Delta, at _RANGE_TIME times the step's time, plus the widest reach
+    and two cells; it never moves left, so past it every slice keeps the
+    zeros it started with.  lo trails the front by _TRAIL_REACHES widest
+    reaches, at least _TRAIL_FLOOR units, and never moves left either;
+    cells below it keep what they held when they left the range.
     """
 
     u: np.ndarray
@@ -193,6 +220,10 @@ class SimState:
     n_delay: int                   # N = h / Delta (0 means no delay)
     n_steps: int                   # ceil(t_end / Delta)
     stop_x: float                  # the run stops once the front reaches it
+    reach: int                     # the widest stencil's reach, in cells
+    advance: np.ndarray            # c_lam Delta over _DECAY_RATES, per step
+    lo: int                        # step updates cells [lo, hi)
+    hi: int
     t: float = 0.0
     clamp_events: int = 0
 
@@ -248,8 +279,9 @@ def _stencils(dt: float, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return power, sub * pa, sub * pb
 
 
-def _blocked(stencil: np.ndarray, gather: np.ndarray):
-    """Apply a centred stencil to v padded by the index map gather.
+def _blocked(stencil: np.ndarray, mode: str, size: int):
+    """Apply a centred stencil to v, at most size cells, padded at both
+    ends as np.pad's mode pads them.
 
     The valid convolution is a banded Toeplitz product.  Cut into
     _BLOCK x _BLOCK blocks, every block row holds the same q blocks
@@ -257,28 +289,41 @@ def _blocked(stencil: np.ndarray, gather: np.ndarray):
     block column further right each row down; so with the padded input
     read as rows of _BLOCK cells, the product is sum_j rows[j:j+nb] @ T_j,
     q matrix products over views, with no copy of overlapping windows.
-    The index map is extended to whole blocks; the cells past n are
-    computed and dropped.  Each output is still a direct sum of
-    nonnegative weights times the field.  Entries of the gathered copy
-    below tiny/w_min (at most _FLUSH_CAP), with w_min the smallest
-    positive weight, are zeroed first (the caller's field is untouched),
-    so no product of an input and a weight is subnormal.
+    v is a run's active range, whose size changes a block at a time, so
+    each call pads it into the same buffer, allocated once for size
+    cells; the cells past v's end are computed from what the buffer
+    holds there (zeros or an earlier call's finite, nonnegative cells,
+    met only by zero weights for the kept cells) and dropped.  A cell's
+    sum depends only on its place in its block, so a range that starts
+    on a block boundary gives each cell the grid's bits.  Each output is
+    still a direct sum of nonnegative weights times the field.  Entries of the padded copy below
+    tiny/w_min (at most _FLUSH_CAP), with w_min the smallest positive
+    weight, are zeroed first (the caller's field is untouched), so no
+    product of an input and a weight is subnormal.
     """
     if stencil.size == 1:
         return lambda v: stencil[0] * v
     flush = min(np.finfo(float).tiny / stencil[stencil > 0.0].min(), _FLUSH_CAP)
-    n = gather.size - stencil.size + 1
-    blocks = -(-n // _BLOCK)
+    half = stencil.size // 2
     q = -(-(_BLOCK + stencil.size - 1) // _BLOCK)
-    index = np.pad(gather, (0, (blocks + q - 1) * _BLOCK - gather.size),
-                   mode="edge")
     toeplitz = np.zeros((q * _BLOCK, _BLOCK))
     for r in range(_BLOCK):
         toeplitz[r:r + stencil.size, r] = stencil[::-1]
     parts = toeplitz.reshape(q, _BLOCK, _BLOCK)
+    buffer = np.zeros((-(-size // _BLOCK) + q - 1) * _BLOCK)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        rows = v[index].reshape(-1, _BLOCK)
+        n = v.size
+        blocks = -(-n // _BLOCK)
+        padded = buffer[:(blocks + q - 1) * _BLOCK]
+        padded[half:half + n] = v
+        if mode == "reflect":          # ghosts -j and n - 1 + j mirror j and n - 1 - j
+            padded[:half] = v[half:0:-1]
+            padded[half + n:n + 2 * half] = v[n - 1 - half:n - 1][::-1]
+        else:                          # ghosts repeat the end cells
+            padded[:half] = v[0]
+            padded[half + n:n + 2 * half] = v[n - 1]
+        rows = padded.reshape(-1, _BLOCK)
         rows[rows < flush] = 0.0
         out = rows[:blocks] @ parts[0]
         for j in range(1, q):
@@ -354,59 +399,99 @@ def make_state(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     # capped so the majorant's advance never passes cfg.length
     n_steps = math.ceil(cfg.t_end / dt)
     horizon = n_steps + n_delay + 1.0
-    growth = _log_growth(lam, (s, pa, pb), (offsets, weights), dx, params.p,
-                         n_delay)
-    advance = np.minimum(growth / lam, cfg.length / horizon)
-    edge = cfg.init_width + float(np.min(advance * horizon + _MAJORANT_DROP / lam))
+    advance = _log_growth(lam, (s, pa, pb), (offsets, weights), dx, params.p,
+                          n_delay) / lam
+    edge, _ = _majorant_edge(np.minimum(advance, cfg.length / horizon),
+                             cfg.init_width, horizon, _MAJORANT_DROP)
     length = cfg.length
     trimmed = max(20, math.ceil(min(edge, cfg.length) / dx) + reach + 2)
     if trimmed < size:
         size, length = trimmed, trimmed * dx
-    cells = np.arange(size + 1)
-    u0 = np.where(cells * dx <= cfg.init_width, float(g.equilibrium), 0.0)
-    reflect = np.pad(cells, s.size // 2, mode="reflect")
-    apply_k = _blocked(weights, np.pad(cells, weights.size // 2, mode="edge"))
+    u0 = np.where(np.arange(size + 1) * dx <= cfg.init_width,
+                  float(g.equilibrium), 0.0)
+    apply_k = _blocked(weights, "edge", u0.size)
     history = deque(u0.copy() for _ in range(n_delay))
     history.append(u0)
+    apply_s, apply_pa, apply_pb = (_blocked(x, "reflect", u0.size)
+                                   for x in (s, pa, pb))
     return SimState(u=u0, history=history, forcing=apply_k(g(history[0])),
-                    apply_s=_blocked(s, reflect), apply_pa=_blocked(pa, reflect),
-                    apply_pb=_blocked(pb, reflect), apply_k=apply_k,
+                    apply_s=apply_s, apply_pa=apply_pa, apply_pb=apply_pb,
+                    apply_k=apply_k,
                     dt=dt, n_delay=n_delay, n_steps=n_steps,
-                    stop_x=length - reach * dx - 2.0 * dx)
+                    stop_x=length - reach * dx - 2.0 * dx, reach=reach,
+                    advance=advance, lo=0, hi=u0.size)
+
+
+def _majorant_edge(advance: np.ndarray, x0: float, steps: float,
+                   drop: float) -> tuple[float, float]:
+    """Where the linear majorant falls to e^-drop u*, and that edge's slope.
+
+    Returns x0 + min over lam of (advance * steps + drop / lam), with
+    steps Delta = t + h + Delta, and the minimizing lam's advance per
+    step; the edge never rises above that line in steps.
+    """
+    terms = advance * steps + drop / _DECAY_RATES
+    j = int(np.argmin(terms))
+    return x0 + float(terms[j]), float(advance[j])
+
+
+def _range_end(state: SimState, x0: float, dx: float, n: int) -> tuple[int, float]:
+    """hi for step n (u_n to u_{n+1}), and the first step that may need more.
+
+    hi is the majorant's 2^-106 edge at _RANGE_TIME t_{n+1}, plus the
+    widest reach and two cells, in whole _BLOCKs and never past the
+    grid.  The edge is a minimum of lines in n, so it stays under the
+    minimizing line, and that line says how many steps this hi holds.
+    """
+    edge, slope = _majorant_edge(state.advance, x0,
+                                 _RANGE_TIME * (n + 1) + state.n_delay + 1,
+                                 _RANGE_DROP)
+    slope *= _RANGE_TIME
+    hi = -(-(math.ceil(edge / dx) + state.reach + 2) // _BLOCK) * _BLOCK
+    if hi >= state.u.size:
+        return state.u.size, math.inf
+    room = (hi - state.reach - 2) * dx - edge
+    return hi, n + 1 + (room // slope if slope > 0.0 else math.inf)
 
 
 def step(state: SimState, g: BirthFunction) -> SimState:
-    """Advance one macro step in place; returns the same state.
+    """Advance the active range one macro step in place; returns the state.
 
-    u_{n+1} = S u_n + Pa F_n + Pb F_{n+1} with F_j = K * g(u_{j-N}).
-    With a delay, F_n is carried and F_{n+1} comes from the history;
-    without one, F_n is taken from u_n and F_{n+1} from the predictor
-    S u_n + (Pa + Pb) F_n.
+    u_{n+1} = S u_n + Pa F_n + Pb F_{n+1} with F_j = K * g(u_{j-N}), on
+    cells [lo, hi) only.  With a delay, F_n is carried and F_{n+1} comes
+    from the history; without one, F_n is taken from u_n and F_{n+1}
+    from the predictor S u_n + (Pa + Pb) F_n.  u_{n+1} is written into
+    the slice that leaves the history (u_n itself at N = 0), so no cell
+    outside the range is written and nothing grid-sized is allocated.
     """
-    u = state.u
+    lo, hi = state.lo, state.hi
+    u = state.u[lo:hi]
     delayed = state.n_delay > 0
-    forcing = state.forcing if delayed else state.apply_k(g(u))
+    forcing = state.forcing[lo:hi] if delayed else state.apply_k(g(u))
     base = state.apply_s(u) + state.apply_pa(forcing)
-    ahead = state.history[1] if delayed else base + state.apply_pb(forcing)
-    state.forcing = state.apply_k(g(ahead))
-    u_new = base + state.apply_pb(state.forcing)
+    ahead = state.history[1][lo:hi] if delayed else base + state.apply_pb(forcing)
+    forcing = state.apply_k(g(ahead))
+    state.forcing[lo:hi] = forcing
+    u_next = state.history.popleft()
+    u_new = np.add(base, state.apply_pb(forcing), out=u_next[lo:hi])
     negatives = int(np.count_nonzero(u_new < 0.0))
     if negatives:
         state.clamp_events += negatives
         np.maximum(u_new, 0.0, out=u_new)
-    state.history.append(u_new)
-    state.history.popleft()
-    state.u = u_new
+    state.history.append(u_next)
+    state.u = u_next
     state.t += state.dt
     return state
 
 
-def front_position(u: np.ndarray, dx: float, theta: float) -> float:
-    """Rightmost x with u >= theta, linearly interpolated between cells."""
-    above = np.nonzero(u >= theta)[0]
+def front_position(u: np.ndarray, dx: float, theta: float, lo: int = 0,
+                   hi: Optional[int] = None) -> float:
+    """Rightmost x with u >= theta among cells [lo, hi), linearly
+    interpolated between cells (0.0 if there is none)."""
+    above = np.flatnonzero(u[lo:hi] >= theta)
     if above.size == 0:
         return 0.0
-    i = int(above[-1])
+    i = lo + int(above[-1])
     if i == u.size - 1:
         return i * dx
     drop = u[i] - u[i + 1]
@@ -435,7 +520,8 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
     """Evolve to t_end (or until the front nears the boundary) and fit.
 
     make_state sizes the grid for its n_steps steps and sets the stop
-    line.  The run stops
+    line; before each step the active range follows the majorant's edge
+    and the front (see SimState).  The run stops
     early, flagged hit_boundary, once the front crosses that line, where
     convolution padding would distort the dynamics; the trace up to that
     point is still fitted.  A run that starts past it raises DomainError.
@@ -451,9 +537,15 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
         raise DomainError(f"initial front x={fronts[0]:g} is already at or "
                           f"past the stop line x={state.stop_x:g}")
     hit_boundary = False
-    for _ in range(state.n_steps):
+    trail = max(_TRAIL_FLOOR / cfg.dx, _TRAIL_REACHES * state.reach)
+    hold = 0
+    for n in range(state.n_steps):
+        if n >= hold:
+            state.hi, hold = _range_end(state, cfg.init_width, cfg.dx, n)
+        state.lo = max(state.lo,
+                       int((fronts[-1] / cfg.dx - trail) // _BLOCK) * _BLOCK)
         step(state, g)
-        xf = front_position(state.u, cfg.dx, theta)
+        xf = front_position(state.u, cfg.dx, theta, state.lo, state.hi)
         times.append(state.t)
         fronts.append(xf)
         if xf >= state.stop_x:

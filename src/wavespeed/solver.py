@@ -196,8 +196,10 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
 # evaluations the cold min_psi decides instead
 _SIGN_ULPS = 64
 _SIGN_TRIES = 3
-# psi_eval calls allowed to _certified_bracket's Newton iteration on eps
-_BRACKET_TRIES = 16
+# psi_eval calls allowed to _certified_bracket's Newton iteration on eps;
+# at 16, 14 of 3000 sampled solves left the upper side uncertified and
+# paid about 44 bisection midpoints for it, more than the extra tries
+_BRACKET_TRIES = 32
 
 
 def _enclosed_sign(ev: PsiEval, z: float,

@@ -384,6 +384,15 @@ class TestParserHygiene:
                      "--kernel", "gaussian:alpha=1"]) == 2
         assert "delay h must be >= 0" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self, capsys):
+        # every main call parses with one parser; a refused command line
+        # leaves it as it was for the next
+        parser = cli._build_parser()
+        with pytest.raises(SystemExit):
+            main(["speed", "--p", "2"])
+        assert main(["speed", "--p", "2", "--h", "0", "--kernel", "dirac"]) == 0
+        assert cli._build_parser() is parser
+
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -139,7 +139,7 @@ class TestBlockedOperator:
         # nonnegative, with exact zeros inside and a zero tail past 60 %
         v = rng.random(n) * (rng.random(n) < 0.8) * (np.arange(n) < 0.6 * n)
         ref = np.convolve(v[gather], stencil, mode="valid")
-        out = _blocked(stencil, gather)(v)
+        out = _blocked(stencil, mode, n)(v)
         assert out.shape == ref.shape == (n,)
         assert np.all(out >= 0.0)
         assert np.array_equal(out == 0.0, ref == 0.0)
@@ -191,7 +191,7 @@ class TestBlockedOperator:
         assert not _is_normal_or_zero(v)
         kept = np.where(below, 0.0, v)
         before = v.copy()
-        out = _blocked(stencil, gather)(v)
+        out = _blocked(stencil, mode, n)(v)
         ref = np.convolve(kept[gather], stencil, mode="valid")
         assert np.array_equal(v, before)            # the caller's field
         assert np.array_equal(out == 0.0, ref == 0.0)
@@ -220,6 +220,14 @@ class TestFrontPosition:
         # no cell to its right to interpolate with: the last cell's x
         u = np.array([1.0, 0.2, 0.8, last])
         assert front_position(u, 0.5, 0.5) == 1.5
+
+
+    def test_scans_only_the_range(self):
+        # a crossing left of lo is not seen; offsets add as whole cells
+        u = np.array([1.0, 0.2, 0.0, 1.0, 1.0, 0.8, 0.2, 0.0, 0.0])
+        assert front_position(u, 0.5, 0.5, 3, 7) == front_position(u, 0.5, 0.5)
+        assert front_position(u, 0.5, 0.5, 0, 3) == front_position(u[:3], 0.5, 0.5)
+        assert front_position(u, 0.5, 0.5, 6, 9) == 0.0
 
 
 class TestFitFrontSpeed:
@@ -840,3 +848,117 @@ class TestTrimmedGrid:
                      BirthFunction.nicholson(p))
         assert math.isfinite(result.speed)
         assert result.hit_boundary == (t_end > 2.0)
+
+
+def _full_range_run(cfg, params, kernel, g):
+    """run with its active range reset to the whole grid before every step."""
+    stepped = front_sim.step
+
+    def whole_grid(state, g):
+        state.lo, state.hi = 0, state.u.size
+        return stepped(state, g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(front_sim, "step", whole_grid)
+        return run(cfg, params, kernel, g)
+
+
+def _hex(result):
+    return [x.hex() for x in result.front], result.speed.hex(), result.hit_boundary
+
+
+class TestActiveRange:
+    """run steps only cells [lo, hi): hi at the majorant's 2^-106 edge by
+    1.5 times the step's time, lo eight widest reaches, and at least 40
+    units, behind the front.  The fronts are those of stepping the whole
+    grid."""
+
+    def test_make_state_leaves_the_whole_grid_active(self):
+        state = make_state(SimConfig(t_end=20.0), ModelParams(p=2.0, h=1.0),
+                           GaussianKernel(1.0), BirthFunction.nicholson(2.0))
+        assert (state.lo, state.hi) == (0, state.u.size)
+
+    def test_step_writes_only_the_range(self):
+        g = BirthFunction.nicholson(2.0)
+        state = make_state(SimConfig(t_end=20.0), ModelParams(p=2.0, h=0.5),
+                           GaussianKernel(1.0), g)
+        for _ in range(50):
+            step(state, g)
+        state.lo, state.hi = 2 * _BLOCK, 6 * _BLOCK
+        slices = [u.copy() for u in state.history]
+        forcing = state.forcing.copy()
+        step(state, g)
+        outside = np.ones(state.u.size, dtype=bool)
+        outside[state.lo:state.hi] = False
+        # the new field went into the slice that left the history
+        assert np.array_equal(state.u[outside], slices[0][outside])
+        assert not np.array_equal(state.u, slices[0])
+        for old, new in zip(slices[1:], list(state.history)[:-1]):
+            assert np.array_equal(old, new)
+        assert np.array_equal(state.forcing[outside], forcing[outside])
+
+    @pytest.mark.parametrize("init_width", [18.0, 20.0, 22.0])
+    @pytest.mark.parametrize("t_end", [10.0, 30.0, 100.0])
+    @pytest.mark.parametrize("kernel, h", [
+        (DiracKernel(), 0.0), (GaussianKernel(1.0), 1.0)],
+        ids=["local", "nonlocal"])
+    def test_a9_matches_full_range(self, kernel, h, t_end, init_width):
+        cfg = SimConfig(length=400.0, dx=0.1, t_end=t_end, init_width=init_width)
+        args = (cfg, ModelParams(p=2.0, h=h), kernel, BirthFunction.nicholson(2.0))
+        assert _hex(run(*args)) == _hex(_full_range_run(*args))
+
+    @pytest.mark.parametrize("kernel, p, h, t_end, birth", [
+        (UniformKernel(1.0), 2.0, 0.4, 100.0, "nicholson"),
+        (TwoPointKernel(0.5), 2.0, 0.5, 100.0, "nicholson"),
+        (DiracKernel(), 10.0, 5.0, 100.0, "nicholson"),
+        (GaussianKernel(1.0), 10.0, 5.0, 100.0, "nicholson"),
+        (DiracKernel(), 10.0, 2.0, 100.0, "nicholson"),
+        (GaussianKernel(1.0), 400.0, 2.0, 20.0, "nicholson"),
+        (GaussianKernel(1.0), 2.0, 1.0, 100.0, "capped-linear"),
+    ])
+    def test_matches_full_range(self, kernel, p, h, t_end, birth):
+        args = (SimConfig(t_end=t_end), ModelParams(p=p, h=h), kernel,
+                BirthFunction(birth, p))
+        assert _hex(run(*args)) == _hex(_full_range_run(*args))
+
+    def test_stop_line_matches_full_range(self):
+        # a fast front reaches the stop line of an untrimmed 400-unit grid
+        # after 497 steps, with the same truncated trace
+        args = (SimConfig(length=400.0, t_end=100.0), ModelParams(p=20.0, h=0.0),
+                DiracKernel(), BirthFunction.nicholson(20.0))
+        result = run(*args)
+        assert result.hit_boundary
+        assert len(result.front) == 498
+        assert _hex(result) == _hex(_full_range_run(*args))
+
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    @pytest.mark.parametrize("kernel", [
+        GaussianKernel(10.0), UniformKernel(20.0), TwoPointKernel(15.0)])
+    def test_wide_kernels_set_the_left_cut(self, kernel, h):
+        # a fixed 40-unit cut moved these fronts by up to 1e-3; eight
+        # reaches keep them within 1e-10
+        args = (SimConfig(length=1500.0, t_end=60.0), ModelParams(p=2.0, h=h),
+                kernel, BirthFunction.nicholson(2.0))
+        result, full = run(*args), _full_range_run(*args)
+        assert len(result.front) == len(full.front)
+        assert max(abs(x - y) for x, y in zip(result.front, full.front)) <= 1e-10
+        assert abs(result.speed / full.speed - 1.0) <= 1e-12
+
+    def test_long_run_range_stays_bounded(self, monkeypatch):
+        # by the last step the range ends at the grid's end and starts 40
+        # units behind the front: 92 units at T = 300, 90 at T = 100
+        states = []
+        built = front_sim.make_state
+
+        def spy(*args):
+            states.append(built(*args))
+            return states[-1]
+        args = (SimConfig(length=1000.0, t_end=300.0), ModelParams(p=2.0, h=0.0),
+                DiracKernel(), BirthFunction.nicholson(2.0))
+        full = _full_range_run(*args)
+        monkeypatch.setattr(front_sim, "make_state", spy)
+        result = run(*args)
+        assert not result.hit_boundary
+        assert abs(result.speed / full.speed - 1.0) <= 1e-12
+        state, = states
+        assert state.u.size > 6000
+        assert (state.hi - state.lo) * 0.1 < 100.0

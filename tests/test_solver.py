@@ -498,6 +498,16 @@ class TestContinueOde:
         assert curve.endpoint_gap < 1e-7
         assert rel(curve.eps0[-1], REFERENCE["uniform_h3"]["eps0"]) < 1e-7
 
+    @pytest.mark.parametrize("kernel", [GAUSS1, UniformKernel(1.0),
+                                        TwoPointKernel(1.0), DiracKernel()])
+    def test_endpoint_error_is_fourth_order(self, kernel):
+        # RK4: doubling the steps divides the endpoint error by about 16
+        seed = solve_critical(ModelParams(p=2.0, h=0.5), kernel)
+        gaps = [continue_ode(2.0, kernel, 0.5, seed.eps0, 4.5, steps=n).endpoint_gap
+                for n in (40, 80, 160)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 14.0 <= coarse / fine <= 17.0, gaps
+
     def test_backward_sweep_normalized(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
         curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 0.2, steps=50)
