@@ -14,7 +14,7 @@ monotone 1-D problems instead of a 2-D Newton iteration:
     on its sign.  First a few safeguarded Newton steps on eps (slope
     psi_eps) certify a below point a and an above point b a few 1e-13
     apart around the root, which by monotonicity also sign the window
-    ends; only an end left uncertified is evaluated.  The bisection
+    ends; an end left uncertified gets one cold min_psi.  The bisection
     replays every midpoint outside (a, b) without evaluating.  Each sign
     comes from the enclosure psi - psi_z^2/(4*eps) <= min psi <= psi at
     a warm z, one psi_eval each, or from a cold min_psi when that cannot
@@ -167,8 +167,8 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
             hi = x
         else:
             lo = x
-        if hi - lo <= 4.0 * 2.220446049250313e-16 * max(1.0, hi):
-            # bracket exhausted at float resolution; |psi_z| may sit
+        if hi - lo <= 4.0 * 2.220446049250313e-16 * hi:
+            # bracket 4 ulps wide relative to itself; |psi_z| may sit
             # above inner_tol only through its own rounding noise
             x = 0.5 * (lo + hi)
             ev = psi_eval(x, eps, params, kernel)
@@ -265,20 +265,17 @@ def _window_end(eps: float, upper: bool, params: ModelParams,
     A lower end must be below (min_psi(eps)[1] < 0), and is halved up to
     8 times until it is.  An upper end is proven above (> 0); a wider
     window would only yield a speed outside it, so any other sign there
-    raises BracketError.  Each sign is that of a cold min_psi, taken
-    through _min_psi_sign from w = sqrt(eps)*z = 1, kept by halving.
+    raises BracketError.  Each sign is that of one cold min_psi, as in
+    plain bisection.
     """
-    z = 1.0 / math.sqrt(eps)
     for _ in range(1 if upper else 9):
-        f, z = _min_psi_sign(eps, z, params, kernel)
+        f = min_psi(eps, params, kernel)[1]
         if (f > 0.0) if upper else (f < 0.0):
             return eps
         eps *= 0.5
-        z /= math.sqrt(0.5)
     eps *= 2.0
     end = "the proven upper end" if upper else "the lower end, halved 8 times,"
-    raise BracketError(f"psi_min is {min_psi(eps, params, kernel)[1]:.3g} at "
-                       f"{end} eps = {eps:.17g}")
+    raise BracketError(f"psi_min is {f:.3g} at {end} eps = {eps:.17g}")
 
 
 def _eps_bracket(params: ModelParams,

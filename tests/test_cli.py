@@ -185,10 +185,17 @@ class TestCurveCommand:
         assert text.count("<circle") == 2
         assert text.count("<polyline") == 8
 
-    def test_failed_points_leave_empty_fields(self, tmp_path, capsys):
-        # barely supercritical with a long delay, every h > 0 solve stops
-        # with |psi_z| far above 1e-9 (ConvergenceError); those rows keep
+    def test_failed_points_leave_empty_fields(self, tmp_path, capsys,
+                                              monkeypatch):
+        # every h > 0 solve fails (ConvergenceError); those rows keep
         # their bounds, lose c_star and residual, and exit 3
+        true_solve = cli.solve_critical
+
+        def solve(params, kernel):
+            if params.h > 0.0:
+                raise ConvergenceError("injected failure")
+            return true_solve(params, kernel)
+        monkeypatch.setattr(cli, "solve_critical", solve)
         out = tmp_path / "fail.csv"
         assert main(["curve", "--p", "1.000000001", "--kernel",
                      "twopoint:a=50", "--h-min", "0", "--h-max", "10000",

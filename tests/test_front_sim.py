@@ -587,25 +587,25 @@ def test_front_trace_independent_of_blas_threads():
     assert json.loads(proc.stdout) == [x.hex() for x in result.front]
 
 
-def _scheme_speed(cfg, params, kernel):
-    """The stepper's own linear spreading speed c*_Delta (Weinberger).
+def _roots_growth(dx, params, kernel):
+    """The linear step's growth factor rho(lam), from polynomial roots.
 
     Inserting u ~ rho^n e^{-lam x} into u_{n+1} = S u_n + Pa F_n +
     Pb F_{n+1}, with F_j linearized to p (K * u_{j-N}), makes rho the
     largest real root of rho^{N+1} = S^ rho^N + p M (Pa^ + Pb^ rho);
-    at N = 0 the predictor gives rho in closed form.  Then c*_Delta =
-    min over lam of ln(rho)/(lam Delta).
+    at N = 0 the predictor gives rho in closed form.  The operators are
+    built once; the returned function evaluates one lam.
     """
     dt, n = resolve_dt(params.h)
-    stencils = _stencils(dt, cfg.dx)
-    offsets, weights = kernel.discrete_weights(cfg.dx)
+    stencils = _stencils(dt, dx)
+    offsets, weights = kernel.discrete_weights(dx)
     half = stencils[0].size // 2
-    taps = np.arange(-half, half + 1) * cfg.dx
+    taps = np.arange(-half, half + 1) * dx
 
     def rho(lam):
         s_hat, a_hat, b_hat = (float(np.sum(st * np.exp(lam * taps)))
                                for st in stencils)
-        pm = params.p * float(np.sum(weights * np.exp(lam * offsets * cfg.dx)))
+        pm = params.p * float(np.sum(weights * np.exp(lam * offsets * dx)))
         if n == 0:
             return s_hat + pm * a_hat + pm * b_hat * (s_hat + pm * (a_hat + b_hat))
         coeffs = np.zeros(n + 2)        # rho^{N+1} down to rho^0
@@ -615,6 +615,17 @@ def _scheme_speed(cfg, params, kernel):
         coeffs[n + 1] -= pm * a_hat
         return max(r.real for r in np.roots(coeffs)
                    if abs(r.imag) <= 1e-9 * abs(r))
+    return rho
+
+
+def _scheme_speed(cfg, params, kernel):
+    """The stepper's own linear spreading speed c*_Delta (Weinberger).
+
+    c*_Delta = min over lam of ln(rho)/(lam Delta), with rho(lam) from
+    _roots_growth.
+    """
+    dt, _ = resolve_dt(params.h)
+    rho = _roots_growth(cfg.dx, params, kernel)
 
     def speed(lam):
         return math.log(rho(lam)) / (lam * dt)
@@ -651,26 +662,6 @@ class TestDispersionOracle:
         assert abs(c_delta / c_grid - 1.0) <= 0.0075
 
 
-def _roots_growth(dx, params, kernel, lam):
-    """rho(lam) as _scheme_speed finds it: np.roots of the same relation."""
-    dt, n = resolve_dt(params.h)
-    stencils = _stencils(dt, dx)
-    offsets, weights = kernel.discrete_weights(dx)
-    half = stencils[0].size // 2
-    taps = np.arange(-half, half + 1) * dx
-    s_hat, a_hat, b_hat = (float(np.sum(st * np.exp(lam * taps)))
-                           for st in stencils)
-    pm = params.p * float(np.sum(weights * np.exp(lam * offsets * dx)))
-    if n == 0:
-        return s_hat + pm * a_hat + pm * b_hat * (s_hat + pm * (a_hat + b_hat))
-    coeffs = np.zeros(n + 2)
-    coeffs[0] = 1.0
-    coeffs[1] -= s_hat
-    coeffs[n] -= pm * b_hat
-    coeffs[n + 1] -= pm * a_hat
-    return max(r.real for r in np.roots(coeffs) if abs(r.imag) <= 1e-9 * abs(r))
-
-
 def _growth(lam, dx, params, kernel):
     """ln rho(lam) from _log_growth, on the operators a run builds."""
     dt, n = resolve_dt(params.h)
@@ -687,8 +678,9 @@ class TestGrowthFactor:
         params = ModelParams(p=2.0, h=h)
         lam = np.array([0.1, 0.5, 1.0, 2.0])
         rho = np.exp(_growth(lam, 0.1, params, kernel))
+        roots_rho = _roots_growth(0.1, params, kernel)
         for lam_i, rho_i in zip(lam, rho):
-            ref = _roots_growth(0.1, params, kernel, lam_i)
+            ref = roots_rho(lam_i)
             assert abs(rho_i / ref - 1.0) <= 1e-12, (lam_i, rho_i, ref)
 
     @pytest.mark.parametrize("kernel, h", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import IVP_REFERENCE, REFERENCE, rel
 from wavespeed import solver
-from wavespeed.bounds import bound_window
+from wavespeed.bounds import ad_upper_opt, bound_window
 from wavespeed.charfun import ModelParams, critical_point, psi_eval
 from wavespeed.errors import (
     ConvergenceError,
@@ -323,6 +323,34 @@ class TestSolveCritical:
         assert_certified(cp, params, kernel)
         assert cp == _bisect_reference(params, kernel)
 
+    @pytest.mark.parametrize("kernel, p, overflows", [
+        (GaussianKernel(1.0), 1e3, False),
+        (GaussianKernel(1e3), 1.0 + 1e-9, True),
+        (UniformKernel(1.0), 1e8, False),
+        (UniformKernel(100.0), 1.0 + 1e-9, False),
+        (UniformKernel(100.0), 2.0, False),
+        (TwoPointKernel(1.0), 1.0 + 1e-9, False),
+        (TwoPointKernel(50.0), 1.0 + 1e-9, False),
+        (TwoPointKernel(50.0), 1.0001, False),
+    ], ids=["gauss1-p1e3", "gauss1e3-p1+1e-9", "uniform1-p1e8",
+            "uniform100-p1+1e-9", "uniform100-p2", "twopoint1-p1+1e-9",
+            "twopoint50-p1+1e-9", "twopoint50-p1.0001"])
+    def test_min_psi_stops_at_a_relative_float_resolution(self, kernel, p,
+                                                          overflows):
+        # min_psi stopped once its bracket was 4 ulps of max(1, hi) wide,
+        # an absolute width below z = 1, so at h = 1e4 it returned points
+        # with |psi_z| up to 7 and these solves raised ConvergenceError
+        params = ModelParams(p=p, h=1e4)
+        cp = solve_critical(params, kernel)
+        assert_certified(cp, params, kernel)
+        if overflows:
+            # the ad family's scan reaches r > 0.84, where M(r) = e^{1e3 r^2}
+            # overflows
+            with pytest.raises(MgfOverflowError):
+                ad_upper_opt(params, kernel)
+        else:
+            assert cp.c_star < ad_upper_opt(params, kernel)[1]
+
     @pytest.mark.parametrize("h", (0.0, 1e-6, 1.0, 100.0, 1e4))
     def test_never_returns_a_speed_outside_the_window(self, h):
         # psi_min is not positive at the proven upper eps end here; the
@@ -363,6 +391,30 @@ class TestSolveCritical:
         assert cp.psi_eps > 0.0
         assert abs(cp.res_ew) <= 1e-8
         assert abs(cp.res_eww) <= 1e-8
+
+
+class TestLongDelayAnchor:
+    # h*c*(h) -> gamma_inf = h*ad_upper_opt as h -> oo, with
+    # c* = gamma_inf/h - kappa/h^2 + O(h^-3); the limits kappa are
+    # ROADMAP item 3's, measured at p = 2
+    @pytest.mark.parametrize("kernel, kappa_inf", [
+        (GaussianKernel(1.0), 3.37),
+        (UniformKernel(1.0), 3.06),
+        (TwoPointKernel(1.0), 3.20),
+        (DiracKernel(), 2.99),
+    ], ids=["gaussian", "uniform", "twopoint", "dirac"])
+    def test_gap_to_the_ad_bound_falls_as_h_squared(self, kernel, kappa_inf):
+        kappas = []
+        for h in (1e2, 1e3, 1e4, 1e5, 1e6):
+            params = ModelParams(p=2.0, h=h)
+            cp = solve_critical(params, kernel)
+            assert_certified(cp, params, kernel)
+            upper = ad_upper_opt(params, kernel)[1]
+            assert cp.c_star < upper
+            kappas.append(h * h * (upper - cp.c_star))
+        assert all(a < b for a, b in zip(kappas, kappas[1:])), kappas
+        assert kappas[-1] - kappas[-2] < 1e-4, kappas
+        assert rel(kappas[-1], kappa_inf) < 5e-3, kappas
 
 
 def assert_cold_signs(params, kernel):
