@@ -11,7 +11,8 @@ and the assembled window switches regime at h = 1:
     h in [1,oo): max{ l_add, sqrt(ln p)/h }       < c* < min{ k1/2, k2/sqrt(h) }
 
 with the additive lower bound l_add = 2 sqrt((p-1)/(p(2h+h^2)+1)) valid
-for every h >= 0.  At h = 0 the k2/h candidate diverges and is dropped.
+for every h >= 0.  At h = 0 the k2/h candidate diverges and is dropped;
+k2 is +inf where M(sqrt(ln p)) overflows, so the window binds at k1.
 Both regime formulas coincide at h = 1 by construction.
 
 For spread-out kernels the window is strict, which is what lets the
@@ -20,29 +21,26 @@ degenerate to equalities, and consumers are expected to compare
 non-strictly there.
 
 On top of the window there is a sharper one-parameter family of upper
-bounds for h > 0:
+bounds for h > 0 and r in (0,1):
 
-    ad_upper(r) = ln( (p/(1-r^2)) * M(r) ) / (h*r),   r in (0,1),
+    ad_upper(r) = phi(r)/(h*r),   phi(r) = ln p + ln M(r) - ln(1-r^2).
 
-minimized numerically by ad_upper_opt.  Note ad_upper(r) = F(r)/h, so
-the optimal r is independent of h and h*value is an h-free constant;
-that is the O(1/h) ceiling reported for the large-delay regime.
+phi is convex with phi(0) = ln p > 0, so gap(r) = r*phi'(r) - phi(r),
+the sign of the slope, changes once; ad_upper_opt bisects for that
+first-order condition.  The optimal r is independent of h and h*value
+is an h-free constant: the O(1/h) ceiling of the large-delay regime.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .charfun import ModelParams
-from .errors import DomainError
+from .errors import DomainError, MgfOverflowError
 from .kernels import Kernel
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# ad_upper_opt: scan points over (0, 1), then golden section to this width
-_AD_GRID = 65
-_AD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,9 @@ class SpeedBounds:
 
     lower/upper are the binding candidates (max of lowers, min of
     uppers); the individual candidates are kept for reporting and for
-    curve CSVs.  upper_k2 is +inf at h = 0 where that candidate is
-    dropped.  The ad-family optimum is attached only when requested
-    (it costs a 1-D minimization) and only exists for h > 0.
+    curve CSVs.  upper_k2 is +inf at h = 0, where that candidate is
+    dropped, and where k2 is.  The ad-family optimum is attached only
+    when requested (a 1-D minimization) and only exists for h > 0.
     """
 
     h: float
@@ -86,7 +84,10 @@ def k2(p: float, kernel: Kernel) -> float:
     """Upper-bound constant from the logarithmic comparison argument."""
     _check_p(p)
     s = math.sqrt(math.log(p))
-    return math.log(p * kernel.mgf(s)) / s
+    try:
+        return math.log(p * kernel.mgf(s)) / s
+    except MgfOverflowError:
+        return math.inf
 
 
 def speed_bounds(params: ModelParams, kernel: Kernel,
@@ -143,42 +144,31 @@ def ad_upper(params: ModelParams, kernel: Kernel, r: float) -> float:
 
 
 def ad_upper_opt(params: ModelParams, kernel: Kernel) -> tuple[float, float]:
-    """Minimize ad_upper over r by coarse scan plus golden section.
+    """Minimize ad_upper over r at its first-order condition gap(r) = 0.
 
-    The function is smooth on (0,1) and diverges at both ends (1/r at
-    the left, the log at the right), so a scan bracket followed by
-    golden section is reliable.  Returns (r_star, value); value is the
-    smallest of every probe made, so it never exceeds the family at any
-    probed r.
+    gap rises strictly from -ln p at r = 0 to +inf at r = 1, so its one
+    sign change is the minimizer; bisect for it in log r over the
+    positive normal doubles, until the midpoint meets an end.  Where M
+    or p*M/(1-r^2) overflows, gap counts as positive: both rise in r, so
+    the result is the family's minimum over the r where they are
+    representable, still a member and still an upper bound.  Returns
+    (r_star, value).
     """
     if params.h <= 0.0:
         raise DomainError(f"ad_upper_opt needs h > 0, got h={params.h}")
-    lo_edge, hi_edge = 1e-6, 1.0 - 1e-6
+    p = params.p
 
-    def f(r: float) -> float:
-        return ad_upper(params, kernel, r)
+    def rising(r: float) -> bool:
+        try:
+            m, q = kernel.mgf(r), 1.0 - r * r
+            dphi = kernel.mgf_deriv(r) / m + 2.0 * r / q
+        except MgfOverflowError:
+            return True
+        phi = math.log((p / q) * m)
+        return r * dphi > phi or phi == math.inf
 
-    rs = [lo_edge + i * (hi_edge - lo_edge) / (_AD_GRID - 1)
-          for i in range(_AD_GRID)]
-    vals = [f(r) for r in rs]
-    i_best = min(range(_AD_GRID), key=vals.__getitem__)
-    best_r, best_v = rs[i_best], vals[i_best]
-    a = rs[max(i_best - 1, 0)]
-    b = rs[min(i_best + 1, _AD_GRID - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _AD_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if fc < best_v:
-            best_r, best_v = c, fc
-        if fd < best_v:
-            best_r, best_v = d, fd
-    return best_r, best_v
+    lo, hi = math.log(sys.float_info.min), 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if rising(math.exp(mid)) else (mid, hi)
+    r = math.exp(lo)
+    return r, ad_upper(params, kernel, r)

@@ -64,6 +64,17 @@ class TestSpeedCommand:
             main(["speed", "--p", "2", "--h", "1", "--kernel", "blob:a=1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kernel", ["gaussian:alpha=1000",
+                                        "uniform:a=1000", "twopoint:a=800"])
+    def test_reports_the_ad_bound_where_the_mgf_overflows(self, capsys,
+                                                          kernel):
+        # M overflows inside the ad family's (0, 1) for all three, and at
+        # k2's sqrt(ln 2) for the box; neither stops the command
+        assert main(["speed", "--p", "2", "--h", "1", "--kernel", kernel]) == 0
+        fields = parse_kv_stdout(capsys.readouterr().out)
+        assert fields["inside"] == "yes"
+        assert float(fields["c_star"]) < float(fields["ad_upper"].split()[0])
+
 
 class TestBoundsCommand:
     def test_lists_all_candidates(self, capsys):
@@ -74,6 +85,15 @@ class TestBoundsCommand:
                     "upper_k1", "upper_k2", "lower", "upper"):
             assert key in fields
         assert float(fields["lower"]) < float(fields["upper"])
+
+    def test_overflowing_k2_prints_inf(self, capsys):
+        # sinh(1000 sqrt(ln 2)) overflows, so k2 is +inf and upper is k1's
+        assert main(["bounds", "--p", "2", "--h", "1",
+                     "--kernel", "uniform:a=1000"]) == 0
+        fields = parse_kv_stdout(capsys.readouterr().out)
+        assert fields["k2"] == fields["upper_k2"] == "inf"
+        assert fields["upper"] == fields["upper_k1"]
+        assert float(fields["upper_ad"].split()[0]) < float(fields["upper"])
 
 
 class TestCurveCommand:

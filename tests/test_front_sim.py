@@ -77,6 +77,8 @@ class TestBirthFunction:
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             BirthFunction.nicholson(1.0)
+        with pytest.raises(DomainError, match="unknown birth function kind"):
+            BirthFunction("foo", 2.0)
 
 
 class TestSimConfig:

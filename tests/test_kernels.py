@@ -450,6 +450,7 @@ class TestKernelSpecParsing:
                           ("dirac", DiracKernel)):
             k = kernel_from_spec(text)
             assert isinstance(k, cls)
+            assert repr(k) == f"{cls.__name__}({k.spec_string()!r})"
             again = kernel_from_spec(k.spec_string())
             for lam in LAMBDAS:
                 assert k.mgf(lam) == again.mgf(lam)
@@ -457,7 +458,7 @@ class TestKernelSpecParsing:
     def test_rejects_malformed_text(self):
         for text in ("", "gauss:alpha=1", "gaussian", "gaussian:alpha=",
                      "gaussian:alpha=zero", "gaussian:beta=1",
-                     "uniform:a=-1", "twopoint:a=nan", "dirac:x=1"):
+                     "uniform:a=-1", "twopoint:a=nan", "dirac:x=1", "table:"):
             with pytest.raises(DomainError):
                 kernel_from_spec(text)
 
@@ -492,4 +493,7 @@ class TestKernelSpecParsing:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,0.5,extra\n")
         with pytest.raises(DomainError):
+            kernel_from_spec(f"table:{path}")
+        path.write_text("s,weight\n")
+        with pytest.raises(DomainError, match="no data rows"):
             kernel_from_spec(f"table:{path}")

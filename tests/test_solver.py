@@ -316,6 +316,10 @@ class TestSolveCritical:
         # psi_z = inf - inf = nan sent a Newton step, and psi_eval, to nan
         (GaussianKernel(1e3), 2.0, 100.0),
         (TwoPointKernel(50.0), 2.0, 1e4),
+        # k2's M(sqrt(ln p)) = exp(6908) overflows: the window binds at k1
+        (GaussianKernel(1e3), 1e3, 0.0),
+        (GaussianKernel(1e3), 1e3, 1.0),
+        (GaussianKernel(1e3), 1e3, 1e4),
     ])
     def test_certifies_extreme_inputs(self, kernel, p, h):
         params = ModelParams(p=p, h=h)
@@ -323,33 +327,32 @@ class TestSolveCritical:
         assert_certified(cp, params, kernel)
         assert cp == _bisect_reference(params, kernel)
 
-    @pytest.mark.parametrize("kernel, p, overflows", [
-        (GaussianKernel(1.0), 1e3, False),
-        (GaussianKernel(1e3), 1.0 + 1e-9, True),
-        (UniformKernel(1.0), 1e8, False),
-        (UniformKernel(100.0), 1.0 + 1e-9, False),
-        (UniformKernel(100.0), 2.0, False),
-        (TwoPointKernel(1.0), 1.0 + 1e-9, False),
-        (TwoPointKernel(50.0), 1.0 + 1e-9, False),
-        (TwoPointKernel(50.0), 1.0001, False),
+    def test_speed_past_the_eps_floor_is_refused(self):
+        # k2 overflows here too; with the window at k1 the solve reaches
+        # eps near 1e-20 (c* near 9e9) and refuses it by name
+        with pytest.raises(DomainError, match="eps must be finite and >="):
+            solve_critical(ModelParams(p=1e8, h=1.0), GaussianKernel(1e3))
+
+    @pytest.mark.parametrize("kernel, p", [
+        (GaussianKernel(1.0), 1e3),
+        (GaussianKernel(1e3), 1.0 + 1e-9),
+        (UniformKernel(1.0), 1e8),
+        (UniformKernel(100.0), 1.0 + 1e-9),
+        (UniformKernel(100.0), 2.0),
+        (TwoPointKernel(1.0), 1.0 + 1e-9),
+        (TwoPointKernel(50.0), 1.0 + 1e-9),
+        (TwoPointKernel(50.0), 1.0001),
     ], ids=["gauss1-p1e3", "gauss1e3-p1+1e-9", "uniform1-p1e8",
             "uniform100-p1+1e-9", "uniform100-p2", "twopoint1-p1+1e-9",
             "twopoint50-p1+1e-9", "twopoint50-p1.0001"])
-    def test_min_psi_stops_at_a_relative_float_resolution(self, kernel, p,
-                                                          overflows):
+    def test_min_psi_stops_at_a_relative_float_resolution(self, kernel, p):
         # min_psi stopped once its bracket was 4 ulps of max(1, hi) wide,
         # an absolute width below z = 1, so at h = 1e4 it returned points
         # with |psi_z| up to 7 and these solves raised ConvergenceError
         params = ModelParams(p=p, h=1e4)
         cp = solve_critical(params, kernel)
         assert_certified(cp, params, kernel)
-        if overflows:
-            # the ad family's scan reaches r > 0.84, where M(r) = e^{1e3 r^2}
-            # overflows
-            with pytest.raises(MgfOverflowError):
-                ad_upper_opt(params, kernel)
-        else:
-            assert cp.c_star < ad_upper_opt(params, kernel)[1]
+        assert cp.c_star < ad_upper_opt(params, kernel)[1]
 
     @pytest.mark.parametrize("h", (0.0, 1e-6, 1.0, 100.0, 1e4))
     def test_never_returns_a_speed_outside_the_window(self, h):
@@ -531,6 +534,9 @@ class TestCardanoW0:
             cardano_w0(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             cardano_w0(1.0, -1.0, 1.0)
+        for alpha in (0.0, -1.0):
+            with pytest.raises(DomainError, match="alpha > 0"):
+                cardano_w0(1.0, 1.0, alpha)
 
 
 class TestContinueOde:
@@ -626,6 +632,9 @@ class TestContinueOde:
     def test_rejects_off_curve_seed(self):
         with pytest.raises(DomainError):
             continue_ode(2.0, GAUSS1, 1.0, 0.3, 2.0, steps=10)
+        for eps_init in (0.0, -0.3):
+            with pytest.raises(DomainError, match="eps_init must be positive"):
+                continue_ode(2.0, GAUSS1, 1.0, eps_init, 2.0, steps=10)
 
     def test_rejects_bad_steps(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
@@ -714,3 +723,14 @@ class TestSpeedCurveValidation:
         with pytest.raises(DomainError):
             SpeedCurve(method="magic", h=(0.5,), eps0=(1.0,), z0=(1.0,),
                        c_star=(0.7,), res_psi=(0.0,), res_psi_z=(0.0,))
+
+    def test_rejects_mismatched_fields(self):
+        with pytest.raises(DomainError, match="eps0 has mismatched length"):
+            SpeedCurve(method="direct", h=(0.5, 1.0), eps0=(1.0,),
+                       z0=(1.0, 1.0), c_star=(0.9, 0.7),
+                       res_psi=(0.0, 0.0), res_psi_z=(0.0, 0.0))
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(DomainError, match="at least one sample"):
+            SpeedCurve(method="direct", h=(), eps0=(), z0=(), c_star=(),
+                       res_psi=(), res_psi_z=())
