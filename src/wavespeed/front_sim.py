@@ -29,8 +29,8 @@ Fixed choices, none of them settable:
     clamping at zero stays a no-op counter.  Every operator is a
     direct convolution with those nonnegative weights, never an FFT,
     so every cell is a nonnegative sum and no roundoff noise grows
-    ahead of the front; it runs as a few small matrix products over
-    blocks of 32 cells (_blocked).
+    ahead of the front; it runs as one stacked matrix product over
+    blocks of 32 cells, summed in order (_blocked).
   * The stencils' tails do spread ahead of the front, far below any
     level it sees, so each operator reads inputs below tiny/w_min as
     zero, where tiny is the smallest normal double and w_min the
@@ -287,8 +287,11 @@ def _blocked(stencil: np.ndarray, mode: str, size: int):
     _BLOCK x _BLOCK blocks, every block row holds the same q blocks
     T_0 .. T_{q-1} of T (T[r:r+L, r] = stencil[::-1], zero below), one
     block column further right each row down; so with the padded input
-    read as rows of _BLOCK cells, the product is sum_j rows[j:j+nb] @ T_j,
-    q matrix products over views, with no copy of overlapping windows.
+    read as rows of _BLOCK cells, the product is sum_j rows[j:j+nb] @ T_j:
+    one stacked matmul over q strided views of the rows (no copy of the
+    overlapping windows), each slice the BLAS call a 2-D @ makes, then
+    one add.reduce over the outermost axis, which sums P_0 + P_1 + ..
+    in order, so the bits are those of a loop over j.
     v is a run's active range, whose size changes a block at a time, so
     each call pads it into the same buffer, allocated once for size
     cells; the cells past v's end are computed from what the buffer
@@ -310,7 +313,11 @@ def _blocked(stencil: np.ndarray, mode: str, size: int):
     for r in range(_BLOCK):
         toeplitz[r:r + stencil.size, r] = stencil[::-1]
     parts = toeplitz.reshape(q, _BLOCK, _BLOCK)
-    buffer = np.zeros((-(-size // _BLOCK) + q - 1) * _BLOCK)
+    most = -(-size // _BLOCK)
+    buffer = np.zeros((most + q - 1) * _BLOCK)
+    windows = np.lib.stride_tricks.sliding_window_view(   # [j] is rows[j:j + most]
+        buffer.reshape(-1, _BLOCK), most, axis=0).transpose(0, 2, 1)
+    products = np.empty((q, most, _BLOCK))
 
     def apply(v: np.ndarray) -> np.ndarray:
         n = v.size
@@ -325,10 +332,8 @@ def _blocked(stencil: np.ndarray, mode: str, size: int):
             padded[half + n:n + 2 * half] = v[n - 1]
         rows = padded.reshape(-1, _BLOCK)
         rows[rows < flush] = 0.0
-        out = rows[:blocks] @ parts[0]
-        for j in range(1, q):
-            out += rows[j:j + blocks] @ parts[j]
-        return out.ravel()[:n]
+        np.matmul(windows[:, :blocks], parts, out=products[:, :blocks])
+        return np.add.reduce(products[:, :blocks], axis=0).ravel()[:n]
     return apply
 
 

@@ -169,10 +169,15 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
             lo = x
         if hi - lo <= 4.0 * 2.220446049250313e-16 * hi:
             # bracket 4 ulps wide relative to itself; |psi_z| may sit
-            # above inner_tol only through its own rounding noise
+            # above inner_tol only through its own rounding noise; if M
+            # overflows there, the bracket has closed on the overflow edge
             x = 0.5 * (lo + hi)
-            ev = psi_eval(x, eps, params, kernel)
-            return x, ev.value
+            try:
+                return x, psi_eval(x, eps, params, kernel).value
+            except MgfOverflowError:
+                raise DomainError(
+                    f"psi's minimizer at eps = {eps:.6g} lies where "
+                    "M(sqrt(eps) z) leaves double range") from None
         # Newton only when it stays bracketed and keeps halving the
         # error; otherwise bisect (the far-from-root Newton step here
         # is O(1/psi_zz), which can crawl)

@@ -59,6 +59,16 @@ class TestSpeedCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")
 
+    def test_minimizer_past_the_mgf_range_exits_2(self, capsys):
+        # the minimizer of psi lies where M overflows: a named DomainError
+        assert main(["speed", "--p", "1000", "--h", "1",
+                     "--kernel", "twopoint:a=50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "double range" in lines[0]
+
     def test_rejects_unknown_kernel(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["speed", "--p", "2", "--h", "1", "--kernel", "blob:a=1"])

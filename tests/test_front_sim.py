@@ -201,6 +201,64 @@ class TestBlockedOperator:
         if operator != "tiny":
             assert _is_normal_or_zero(out)
 
+    @staticmethod
+    def _block_loop(stencil, mode, v):
+        # the bit-level oracle: each Toeplitz block's product in turn,
+        # summed in order, out = rows[:nb] @ T_0; out += rows[j:j+nb] @ T_j
+        half = stencil.size // 2
+        q = -(-(_BLOCK + stencil.size - 1) // _BLOCK)
+        toeplitz = np.zeros((q * _BLOCK, _BLOCK))
+        for r in range(_BLOCK):
+            toeplitz[r:r + stencil.size, r] = stencil[::-1]
+        parts = toeplitz.reshape(q, _BLOCK, _BLOCK)
+        nb = -(-v.size // _BLOCK)
+        padded = np.zeros((nb + q - 1) * _BLOCK)
+        padded[:v.size + 2 * half] = np.pad(v, half, mode)
+        flush = min(np.finfo(float).tiny / stencil[stencil > 0.0].min(), 2.0 ** -500)
+        padded[padded < flush] = 0.0
+        rows = padded.reshape(-1, _BLOCK)
+        out = rows[:nb] @ parts[0]
+        for j in range(1, q):
+            out += rows[j:j + nb] @ parts[j]
+        return out.ravel()[:v.size]
+
+    @pytest.mark.parametrize("mode", ["reflect", "edge"])
+    @pytest.mark.parametrize("name", ["3 taps", "33 taps", "S", "Pa", "Pb",
+                                      "twopoint a=8", "gaussian"])
+    def test_stacked_product_equals_the_block_loop(self, name, mode):
+        # one applier through growing, shrinking and regrowing ranges, so
+        # that cells past v's end hold an earlier call's values; 31 and 32
+        # cells make one block row (numpy's gemv path), and 32 + 33 - 1
+        # taps fill whole blocks
+        rng = np.random.default_rng(11)
+        s, pa, pb = _stencils(0.1, 0.1)
+        stencil = {
+            "3 taps": np.array([0.25, 0.5, 0.25]),
+            "33 taps": rng.random(33) / 16.5,
+            "S": s, "Pa": pa, "Pb": pb,
+            "twopoint a=8": TwoPointKernel(8.0).discrete_weights(0.2)[1],
+            "gaussian": GaussianKernel(1.0).discrete_weights(0.1)[1],
+        }[name]
+        flush = min(np.finfo(float).tiny / stencil[stencil > 0.0].min(), 2.0 ** -500)
+        apply = _blocked(stencil, mode, 4001)
+        half = stencil.size // 2
+        sizes = (31, 32, 33, 5 * _BLOCK + 7, 4001, 5 * _BLOCK + 7, 33, 32, 31,
+                 33, 5 * _BLOCK + 7, 4001)
+        checked = 0
+        for n in sizes:
+            if mode == "reflect" and n <= half:
+                continue                   # mirror ghosts need half + 1 cells
+            # exact zeros, values just either side of the flush level, and
+            # an exponential tail through it
+            v = rng.random(n) * (rng.random(n) < 0.8)
+            v[n // 2:] *= np.logspace(0.0, -320.0, n - n // 2)
+            picks = rng.integers(0, n, max(3, n // 10))
+            v[picks] = rng.choice([0.0, flush, np.nextafter(flush, 0.0),
+                                   np.nextafter(flush, 1.0)], picks.size)
+            assert np.array_equal(apply(v), self._block_loop(stencil, mode, v))
+            checked += 1
+        assert checked >= 5
+
 
 class TestFrontPosition:
     def test_linear_interpolation(self):

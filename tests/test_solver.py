@@ -333,6 +333,13 @@ class TestSolveCritical:
         with pytest.raises(DomainError, match="eps must be finite and >="):
             solve_critical(ModelParams(p=1e8, h=1.0), GaussianKernel(1e3))
 
+    @pytest.mark.parametrize("p", [1e3, 1e8])
+    def test_minimizer_past_the_mgf_range_is_refused(self, p):
+        # min_psi's bracket closes on the z where cosh(50 sqrt(eps) z)
+        # overflows, so psi cannot be evaluated at its minimizer
+        with pytest.raises(DomainError, match="leaves double range"):
+            solve_critical(ModelParams(p=p, h=1.0), TwoPointKernel(50.0))
+
     @pytest.mark.parametrize("kernel, p", [
         (GaussianKernel(1.0), 1e3),
         (GaussianKernel(1e3), 1.0 + 1e-9),
