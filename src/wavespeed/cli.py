@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from .charfun import (G_value, H_value, ModelParams, R_value, _check_eps,
                       psi_eval)
-from .errors import ConvergenceError, DomainError, NumericalError
+from .errors import (ConvergenceError, DomainError, NumericalError,
+                     WavespeedError)
 from .kernels import GaussianKernel, Kernel, kernel_from_spec
 from .solver import (cardano_w0, continue_ode, min_psi, solve_critical,
                      solve_ivp_rho0, sweep_direct)
@@ -198,19 +199,21 @@ def cmd_bounds(args) -> int:
 
 
 def _curve_points(p: float, kernel: Kernel, grid: Sequence[float],
-                  method: str) -> list[Optional[tuple[float, float]]]:
-    """(c_star, residual) per grid point; None where a direct solve failed."""
+                  method: str) -> list[tuple[float, float] | WavespeedError]:
+    """(c_star, residual) per grid point, or the error of a failed direct
+    solve there."""
+    grid_params = [ModelParams(p=p, h=h) for h in grid]  # bad --p: exit 2
     if method == "direct":
-        points: list[Optional[tuple[float, float]]] = []
-        for h in grid:
+        points: list[tuple[float, float] | WavespeedError] = []
+        for params in grid_params:
             try:
-                cp = solve_critical(ModelParams(p=p, h=h), kernel)
+                cp = solve_critical(params, kernel)
                 points.append((cp.c_star, cp.res_psi))
-            except NumericalError:
-                points.append(None)
+            except WavespeedError as exc:
+                points.append(exc)
         return points
     # ode: seed at the left end, RK4 across, subsample back to grid
-    seed = solve_critical(ModelParams(p=p, h=grid[0]), kernel)
+    seed = solve_critical(grid_params[0], kernel)
     if len(grid) == 1:
         return [(seed.c_star, seed.res_psi)]
     sub = 4
@@ -229,13 +232,14 @@ def _write_curve(p: float, kernel: Kernel, grid: Sequence[float], points,
                  out: str, svg: Optional[str]) -> None:
     """Curve CSV with the bounds at every grid point, plus an optional chart.
 
-    A point given as None (failed solve) keeps its bounds and leaves
+    A point given as an error (failed solve) keeps its bounds and leaves
     c_star and residual empty in the CSV and as gaps in the chart.
     """
     rows = []
     for h, point in zip(grid, points):
         b = bounds_mod.speed_bounds(ModelParams(p=p, h=h), kernel)
-        c_star, residual = point if point is not None else (None, None)
+        failed = isinstance(point, WavespeedError)
+        c_star, residual = (None, None) if failed else point
         rows.append((h, c_star, b.lower_add, b.lower_log, b.upper_k1,
                      b.upper_k2, b.lower, b.upper, residual))
     _write_csv(out, _CURVE_HEADER, rows)
@@ -262,9 +266,12 @@ def cmd_curve(args) -> int:
     print(f"wrote {len(grid)} rows to {args.out} (method {args.method})")
     if args.svg:
         print(f"wrote chart to {args.svg}")
-    failures = points.count(None)
+    failures = [(h, exc) for h, exc in zip(grid, points)
+                if isinstance(exc, WavespeedError)]
+    for h, exc in failures:
+        print(f"h = {_fmt(h)}: {type(exc).__name__}: {exc}", file=sys.stderr)
     if failures:
-        print(f"{failures} samples failed to converge (empty fields)",
+        print(f"{len(failures)} samples failed to converge (empty fields)",
               file=sys.stderr)
         return 3
     return 0

@@ -35,6 +35,7 @@ On top of the direct solver:
   * continue_ode integrates eps0'(h) = 2*eps0*G(w0) / (1 + h*G(w0))
     with classical fixed-step RK4, retrieving w0 per stage via the
     cubic (Gaussian) or, wherever that fails, via min_psi (any kernel);
+    any other failed stage ends the run with its own error;
   * sweep_direct runs independent direct solves over an h-grid.
 """
 
@@ -49,7 +50,7 @@ from . import bounds as _bounds
 from .charfun import (CriticalPoint, G_value, ModelParams, PsiEval,
                       critical_point, psi_eval)
 from .errors import (BracketError, ConvergenceError, CubicRootError,
-                     DomainError, MgfOverflowError, NumericalError)
+                     DomainError, MgfOverflowError)
 from .kernels import GaussianKernel, Kernel
 
 _CURVE_METHODS = ("direct", "ode-continuation", "cardano-continuation")
@@ -573,7 +574,9 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
     Classical fixed-step RK4 over `steps` steps from h0 to h_end (either
     direction); at every stage w0 is retrieved with the Gaussian cubic
     when available, else (or on CubicRootError) with the generic
-    minimizer.  Another stage failure halves the step (up to 4 levels).
+    minimizer.  Any other stage failure ends the run with its own error,
+    and a stage or step that takes eps to zero, below or out of range
+    raises ConvergenceError: more steps shorten the overshoot.
     The seed must already satisfy |psi_min(eps_init)| <= 1e-7 and the
     endpoint is cross-checked against a direct solve at h_end.
     """
@@ -589,55 +592,32 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
             f"eps_init={eps_init:g} is not on the critical curve at h={h0:g} "
             f"(|psi_min| = {abs(psi_seed):.3g} > {_ENTRY_PSI_TOL:g})")
 
-    use_cardano = isinstance(kernel, GaussianKernel)
-    # w0 at every stage point; stage s1 of each step starts at a sample,
-    # so the samples below read their w0 from here
-    w0s: dict[tuple[float, float], float] = {}
-
-    def w0_at(h: float, eps: float) -> float:
-        w0 = w0s.get((h, eps))
-        if w0 is None:
-            w0 = w0s[(h, eps)] = _w0_on_curve(p, kernel, h, eps)
-        return w0
-
-    def slope(h: float, eps: float) -> float:
-        w0 = w0_at(h, eps)
-        g = G_value(w0, eps)
-        return 2.0 * eps * g / (1.0 + h * g)
-
-    def rk4(h: float, eps: float, dh: float) -> float:
-        s1 = slope(h, eps)
-        s2 = slope(h + 0.5 * dh, eps + 0.5 * dh * s1)
-        s3 = slope(h + 0.5 * dh, eps + 0.5 * dh * s2)
-        s4 = slope(h + dh, eps + dh * s3)
-        return eps + dh * (s1 + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
-
-    def advance(h: float, eps: float, dh: float) -> float:
-        pieces = [(h, dh, 0)]         # (start, length, halvings); next on top
-        while pieces:
-            start, length, depth = pieces.pop()
-            try:
-                eps = rk4(start, eps, length)
-            except NumericalError:
-                if depth >= 4:
-                    raise ConvergenceError(
-                        f"continuation stage kept failing near h={start:g} "
-                        "after 4 step halvings") from None
-                half = 0.5 * length
-                pieces += [(start + half, half, depth + 1),
-                           (start, half, depth + 1)]
+    def checked(h: float, eps: float) -> float:
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ConvergenceError(
+                f"continuation stepped eps to {eps:g} at h={h:g}; "
+                "increase steps")
         return eps
 
-    hs = [h0]
-    epss = [eps_init]
-    if h_end != h0:
-        h_cur, eps_cur = h0, eps_init
-        for i in range(1, steps + 1):
-            h_next = h0 + (h_end - h0) * i / steps
-            eps_cur = advance(h_cur, eps_cur, h_next - h_cur)
-            h_cur = h_next
-            hs.append(h_cur)
-            epss.append(eps_cur)
+    def slope(h: float, eps: float) -> tuple[float, float]:
+        w0 = _w0_on_curve(p, kernel, h, checked(h, eps))
+        g = G_value(w0, eps)
+        return w0, 2.0 * eps * g / (1.0 + h * g)
+
+    # each sample's w0 is its step's first stage; the last one's comes later
+    hs, epss, w0s = [h0], [eps_init], []
+    for i in range(1, steps + 1 if h_end != h0 else 1):
+        h, eps = hs[-1], epss[-1]
+        h_next = h0 + (h_end - h0) * i / steps
+        dh = h_next - h
+        w0, s1 = slope(h, eps)
+        _, s2 = slope(h + 0.5 * dh, eps + 0.5 * dh * s1)
+        _, s3 = slope(h + 0.5 * dh, eps + 0.5 * dh * s2)
+        _, s4 = slope(h + dh, eps + dh * s3)
+        hs.append(h_next)
+        epss.append(checked(h_next, eps + dh * (s1 + 2.0 * s2 + 2.0 * s3
+                                                + s4) / 6.0))
+        w0s.append(w0)
 
     cp_end = solve_critical(ModelParams(p=p, h=h_end), kernel)
     c_end = 1.0 / math.sqrt(epss[-1])
@@ -647,21 +627,22 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
             f"continuation endpoint drifted {gap:.3g} (relative on c*) from "
             f"the direct solve at h={h_end:g}; increase steps")
 
+    w0s.append(_w0_on_curve(p, kernel, hs[-1], epss[-1]))
     if hs[-1] < hs[0]:
         hs.reverse()
         epss.reverse()
+        w0s.reverse()
     z0s, res_p, res_pz = [], [], []
-    for h_i, eps_i in zip(hs, epss):
-        w0 = w0_at(h_i, eps_i)
+    for h_i, eps_i, w0 in zip(hs, epss, w0s):
         z_i = w0 / math.sqrt(eps_i)
         ev = psi_eval(z_i, eps_i, ModelParams(p=p, h=h_i), kernel)
         z0s.append(z_i)
         res_p.append(abs(ev.value))
         res_pz.append(abs(ev.dz))
 
-    method = "cardano-continuation" if use_cardano else "ode-continuation"
     return SpeedCurve(
-        method=method,
+        method=("cardano-continuation" if isinstance(kernel, GaussianKernel)
+                else "ode-continuation"),
         h=tuple(hs),
         eps0=tuple(epss),
         z0=tuple(z0s),

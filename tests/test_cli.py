@@ -156,6 +156,31 @@ class TestCurveCommand:
         err = capsys.readouterr().err
         assert "drifted" in err and "--samples" in err
 
+    def test_overshoot_past_zero_names_samples(self, tmp_path, capsys):
+        # 4 RK4 steps per sample interval carry eps below zero near h = 3:
+        # valid input, so a numerical failure that names the lever
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--p", "50", "--kernel", "dirac",
+                     "--method", "ode", "--h-max", "100", "--samples", "5",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "stepped eps" in err and "--samples" in err
+        assert not out.exists()
+
+    def test_refused_points_leave_empty_fields(self, tmp_path, capsys):
+        # min_psi refuses the four h > 0 points (a minimizer on M's
+        # overflow edge); the job still writes every row and exits 3
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--p", "1000", "--kernel", "twopoint:a=50",
+                     "--h-max", "2", "--samples", "5",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count(": DomainError: ") == 4
+        rows = [line.split(",")
+                for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 5
+        assert [cells[1] == "" for cells in rows] == [False] + [True] * 4
+
     def test_single_sample(self, tmp_path, capsys):
         # one sample is the row at h_min, and both methods take it from
         # the same direct solve
