@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .charfun import ModelParams
 from .errors import DomainError, MgfOverflowError
@@ -167,8 +167,16 @@ def ad_upper_opt(params: ModelParams, kernel: Kernel) -> tuple[float, float]:
         phi = math.log((p / q) * m)
         return r * dphi > phi or phi == math.inf
 
-    lo, hi = math.log(sys.float_info.min), 0.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (lo, mid) if rising(math.exp(mid)) else (mid, hi)
-    r = math.exp(lo)
+    log_r, _ = _bisect_sign(lambda t: rising(math.exp(t)),
+                            math.log(sys.float_info.min), 0.0)
+    r = math.exp(log_r)
     return r, ad_upper(params, kernel, r)
+
+
+def _bisect_sign(rises: Callable[[float], bool], lo: float,
+                 hi: float) -> tuple[float, float]:
+    """Bisect [lo, hi] on a test false at lo and true at hi until the
+    midpoint meets an end; return the last (lo, hi)."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if rises(mid) else (mid, hi)
+    return lo, hi

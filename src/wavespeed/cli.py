@@ -29,8 +29,7 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from .charfun import (G_value, H_value, ModelParams, R_value, _check_eps,
                       psi_eval)
-from .errors import (ConvergenceError, DomainError, NumericalError,
-                     WavespeedError)
+from .errors import DomainError, NumericalError, WavespeedError
 from .kernels import GaussianKernel, Kernel, kernel_from_spec
 from .solver import (cardano_w0, continue_ode, min_psi, solve_critical,
                      solve_ivp_rho0, sweep_direct)
@@ -220,10 +219,12 @@ def _curve_points(p: float, kernel: Kernel, grid: Sequence[float],
     try:
         curve = continue_ode(p, kernel, grid[0], seed.eps0, grid[-1],
                              steps=sub * (len(grid) - 1))
-    except ConvergenceError as exc:
-        # steps is fixed at `sub` per sample interval: --samples is the lever
-        raise ConvergenceError(
-            str(exc).replace("increase steps", "increase --samples")) from None
+    except WavespeedError as exc:
+        # the input was admitted, so a stage refused mid-run fails the job
+        # (exit 3); steps is fixed at `sub` per sample interval: --samples
+        # is the lever
+        raise NumericalError(f"{type(exc).__name__}: " + str(exc).replace(
+            "increase steps", "increase --samples")) from None
     return [(curve.c_star[i * sub], curve.res_psi[i * sub])
             for i in range(len(grid))]
 
@@ -271,7 +272,7 @@ def cmd_curve(args) -> int:
     for h, exc in failures:
         print(f"h = {_fmt(h)}: {type(exc).__name__}: {exc}", file=sys.stderr)
     if failures:
-        print(f"{len(failures)} samples failed to converge (empty fields)",
+        print(f"{len(failures)} samples failed (empty fields)",
               file=sys.stderr)
         return 3
     return 0

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import bounds as _bounds
-from .charfun import (CriticalPoint, G_value, ModelParams, PsiEval,
-                      critical_point, psi_eval)
+from .charfun import (_EPS_FLOOR, CriticalPoint, G_value, ModelParams,
+                      PsiEval, critical_point, psi_eval)
 from .errors import (BracketError, ConvergenceError, CubicRootError,
                      DomainError, MgfOverflowError)
 from .kernels import GaussianKernel, Kernel
@@ -299,7 +299,9 @@ def _eps_bracket(params: ModelParams,
     serves as a or b itself.  The window therefore equals that of
     checking both ends cold.  A lower bound whose square is below the
     smallest normal double (a delay near 1e154 or longer) would put hi
-    out of double range, so it raises DomainError first.
+    out of double range, and an upper bound above about 1e6 puts lo
+    below charfun's eps floor (to 0 past 1.3e154), so both raise
+    DomainError first.
     """
     lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
@@ -311,6 +313,10 @@ def _eps_bracket(params: ModelParams,
             f"the lower speed bound {lower:.3g} is below 1.5e-154, so "
             f"eps = 1/c^2 would leave double range (h = {params.h:g})")
     lo = (1.0 - 1e-9) / (upper * upper)
+    if lo < _EPS_FLOOR:
+        raise DomainError(
+            f"the upper speed bound {upper:.3g} puts the window's end "
+            f"eps = 1/c^2 below the floor {_EPS_FLOOR:g} (h = {params.h:g})")
     hi = (1.0 + 1e-9) / (lower * lower)
     a, b, z = _certified_bracket(lo, hi, params, kernel)
     if a is None:
@@ -440,8 +446,8 @@ def solve_ivp_rho0(p: float, alpha: float) -> float:
 
     Solves 1 + 1/(4*rho) = p * exp(-alpha/(4*rho)) for rho > 0 via the
     substitution x = 1/(4*rho), where 1 + x crosses the decreasing
-    p*exp(-alpha*x) exactly once on (0, p).  Bisection plus two Newton
-    polish steps; accurate to full double precision.
+    p*exp(-alpha*x) exactly once on (0, p).  Bisection to adjacent
+    doubles, then two Newton polish steps; answers for every p > 1.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError(f"solve_ivp_rho0 needs p > 1, got {p}")
@@ -451,15 +457,7 @@ def solve_ivp_rho0(p: float, alpha: float) -> float:
     def f(x: float) -> float:
         return 1.0 + x - p * math.exp(-alpha * x)
 
-    lo, hi = 0.0, float(p)  # f(0) = 1 - p < 0, f(p) >= 1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bounds._bisect_sign(lambda x: not f(x) < 0.0, 0.0, float(p))
     x = 0.5 * (lo + hi)
     for _ in range(2):
         x -= f(x) / (1.0 + alpha * p * math.exp(-alpha * x))

@@ -69,6 +69,14 @@ class TestSpeedCommand:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "double range" in lines[0]
 
+    def test_refuses_an_upper_bound_past_double_range(self, capsys):
+        # eps = 1/upper^2 at the window's end underflows to 0
+        assert main(["speed", "--p", "1e156", "--h", "1",
+                     "--kernel", "gaussian:alpha=1"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "upper speed bound" in lines[0]
+
     def test_rejects_unknown_kernel(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["speed", "--p", "2", "--h", "1", "--kernel", "blob:a=1"])
@@ -167,6 +175,18 @@ class TestCurveCommand:
         assert "stepped eps" in err and "--samples" in err
         assert not out.exists()
 
+    def test_refused_continuation_stage_exits_3(self, tmp_path, capsys):
+        # the seed certifies and min_psi refuses a later RK4 stage (its
+        # minimizer on M's overflow edge): admitted input, a failed job
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--p", "50", "--kernel", "twopoint:a=50",
+                     "--h-max", "5", "--samples", "5", "--method", "ode",
+                     "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: DomainError: ")
+        assert not out.exists()
+
     def test_refused_points_leave_empty_fields(self, tmp_path, capsys):
         # min_psi refuses the four h > 0 points (a minimizer on M's
         # overflow edge); the job still writes every row and exits 3
@@ -255,7 +275,7 @@ class TestCurveCommand:
         assert main(["curve", "--p", "1.000000001", "--kernel",
                      "twopoint:a=50", "--h-min", "0", "--h-max", "10000",
                      "--samples", "5", "--out", str(out)]) == 3
-        assert "4 samples failed to converge" in capsys.readouterr().err
+        assert "4 samples failed (empty fields)" in capsys.readouterr().err
         rows = [line.split(",")
                 for line in out.read_text().strip().split("\n")[1:]]
         assert len(rows) == 5
@@ -323,6 +343,14 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == 3
         assert "(ode-continuation)" in out
+
+    def test_huge_p_fails_by_name(self, capsys):
+        # the Gaussian seed equation answers at p = 1e70; the direct solve
+        # at h = alpha then misses the absolute residual gate of 1e-9 by a
+        # hair, a numerical failure (an exact c* route, ROADMAP item 1,
+        # may make this exit 0)
+        assert main(["verify", "--p", "1e70"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_failed_continuation_is_reported(self, monkeypatch, capsys):
         def drifted(*args, **kwargs):

@@ -328,10 +328,21 @@ class TestSolveCritical:
         assert cp == _bisect_reference(params, kernel)
 
     def test_speed_past_the_eps_floor_is_refused(self):
-        # k2 overflows here too; with the window at k1 the solve reaches
-        # eps near 1e-20 (c* near 9e9) and refuses it by name
-        with pytest.raises(DomainError, match="eps must be finite and >="):
+        # k2 overflows here too, so the window's upper end is k1/2 = 8.6e9
+        # and its eps end lies below the eps floor; the refusal names that
+        # bound, since c* itself is 245
+        with pytest.raises(DomainError, match="the upper speed bound 8.6e"):
             solve_critical(ModelParams(p=1e8, h=1.0), GaussianKernel(1e3))
+
+    @pytest.mark.parametrize("kernel, p, h", [
+        (GaussianKernel(1.0), 1e156, 1.0),
+        (UniformKernel(1.0), 1e154, 0.0),
+        (TwoPointKernel(1.0), 1e154, 0.0),
+    ])
+    def test_upper_bound_past_1e154_is_refused(self, kernel, p, h):
+        # eps = 1/upper^2 at the window's end underflows to 0
+        with pytest.raises(DomainError, match="the upper speed bound"):
+            solve_critical(ModelParams(p=p, h=h), kernel)
 
     @pytest.mark.parametrize("p", [1e3, 1e8])
     def test_minimizer_past_the_mgf_range_is_refused(self, p):
@@ -477,6 +488,30 @@ class TestSolveIvpRho0:
         for p, alpha in ((1.0, 1.0), (0.5, 1.0), (2.0, 0.0), (2.0, -1.0)):
             with pytest.raises(DomainError):
                 solve_ivp_rho0(p, alpha)
+
+    def test_answers_for_every_p(self):
+        # from p near 1e54 on, 200 halvings of [0, p] leave the bracket
+        # wider than the root, so only a bisection that runs until its
+        # midpoint meets an end gives a positive seed with a small residual
+        ps = [10.0 ** k for k in range(2, 307, 2)] + [1.5, 1.0 + 1e-9,
+                                                      1.0 + 1e-15]
+        for p in ps:
+            for alpha in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                rho = solve_ivp_rho0(p, alpha)
+                assert rho > 0.0, (p, alpha)
+                x = 1.0 / (4.0 * rho)
+                resid = abs(1.0 + x - p * math.exp(-alpha * x))
+                assert resid <= 1e-12 * max(1.0, x), (p, alpha, resid)
+
+    @pytest.mark.parametrize("p, alpha", [(1.5, 1e3), (1e70, 1.0),
+                                          (1e200, 1e6), (1e306, 1e-6)])
+    def test_matches_fifty_digit_root(self, p, alpha):
+        # 1 + x = p e^{-alpha x} is alpha (1 + x) = W(alpha p e^alpha)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            x = mp.lambertw(a * p * mp.exp(a)).real / a - 1
+            assert rel(solve_ivp_rho0(p, alpha), float(1 / (4 * x))) < 1e-15
 
 
 def cubic_coeffs(eps, h, alpha):
