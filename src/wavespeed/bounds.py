@@ -35,17 +35,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .charfun import ModelParams
 from .errors import DomainError, MgfOverflowError
 from .kernels import Kernel
 
 
-@dataclass(frozen=True)
-class SpeedBounds:
-    """Assembled bound window at one delay value.
+class SpeedBounds(NamedTuple):
+    """Assembled bound window at one delay value, as a tuple.
 
     lower/upper are the binding candidates (max of lowers, min of
     uppers); the individual candidates are kept for reporting and for
@@ -76,7 +74,12 @@ def _check_p(p: float) -> None:
 def k1(p: float, kernel: Kernel) -> float:
     """Upper-bound constant from the quadratic comparison argument."""
     _check_p(p)
-    q = math.sqrt((p - 1.0) / (1.0 + 0.5 * p * kernel.second_moment()))
+    m2 = kernel.second_moment()
+    den = 1.0 + 0.5 * p * m2
+    if den == math.inf:         # divided through by p, so q stays positive
+        q = math.sqrt((1.0 - 1.0 / p) / (1.0 / p + 0.5 * m2))
+    else:
+        q = math.sqrt((p - 1.0) / den)
     return 2.0 * q + p * kernel.mgf_deriv(q)
 
 
@@ -176,7 +179,8 @@ def ad_upper_opt(params: ModelParams, kernel: Kernel) -> tuple[float, float]:
 def _bisect_sign(rises: Callable[[float], bool], lo: float,
                  hi: float) -> tuple[float, float]:
     """Bisect [lo, hi] on a test false at lo and true at hi until the
-    midpoint meets an end; return the last (lo, hi)."""
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+    midpoint meets an end; return the last (lo, hi).  The midpoint halves
+    each end first, so it stays finite up to the largest double."""
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
         lo, hi = (lo, mid) if rises(mid) else (mid, hi)
     return lo, hi

@@ -19,7 +19,6 @@ and the continuation equation work in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -34,19 +33,29 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must be finite and >= {_EPS_FLOOR:g}, got {eps}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Model parameters: linearization slope p and delay h."""
-
+class _ModelParams(NamedTuple):
     p: float
     h: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 1.0):
+
+class ModelParams(_ModelParams):
+    """Model parameters: linearization slope p and delay h (a tuple)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: float, h: float):
+        # checks the arguments, not the fields: the solver builds one per
+        # RK4 stage, and a field read costs more than a local one
+        if not (math.isfinite(p) and p > 1.0):
             raise DomainError(
-                f"linearization slope p must be > 1 (monostable hypothesis), got {self.p}")
-        if not (math.isfinite(self.h) and self.h >= 0.0):
-            raise DomainError(f"delay h must be >= 0, got {self.h}")
+                f"linearization slope p must be > 1 (monostable hypothesis), got {p}")
+        if not (math.isfinite(h) and h >= 0.0):
+            raise DomainError(f"delay h must be >= 0, got {h}")
+        return tuple.__new__(cls, (p, h))
+
+    @classmethod
+    def _make(cls, fields):     # so that _replace runs the checks too
+        return cls(*fields)
 
 
 class PsiEval(NamedTuple):
@@ -54,8 +63,9 @@ class PsiEval(NamedTuple):
 
     dzz > 0 always (psi is strictly convex in z: dzz >= 2*eps plus a
     nonnegative kernel term), and deps > 0 for z > 0; both facts are
-    what make the solver's nested bracketing valid.  A NamedTuple, not a
-    dataclass: psi_eval builds one per call, and this is the hot path.
+    what make the solver's nested bracketing valid.  Like every record in
+    the package it is a NamedTuple, not a dataclass: its class costs about
+    an eighth as much to create at import, and psi_eval builds one per call.
     """
 
     value: float
@@ -64,9 +74,8 @@ class PsiEval(NamedTuple):
     deps: float
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """Converged double root (z0, eps0) with its certificate.
+class CriticalPoint(NamedTuple):
+    """Converged double root (z0, eps0) with its certificate, as a tuple.
 
     w0 = sqrt(eps0)*z0 and c_star = 1/sqrt(eps0) are derived fields.
     res_* are absolute residuals; psi_zz and psi_eps are the transversality
@@ -106,8 +115,8 @@ def psi_eval(z: float, eps: float, params: ModelParams, kernel: Kernel) -> PsiEv
     m0 = kernel.mgf(w)
     m1 = kernel.mgf_deriv(w)
     m2 = kernel.mgf_deriv2(w)
-    pm = params.p * checked_exp(-z * params.h)
     h = params.h
+    pm = params.p * checked_exp(-z * h)
     value = eps * z * z - z - 1.0 + pm * m0
     dz = 2.0 * eps * z - 1.0 + pm * (root_eps * m1 - h * m0)
     dzz = 2.0 * eps + pm * (eps * m2 - 2.0 * h * root_eps * m1 + h * h * m0)

@@ -91,8 +91,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -114,9 +113,13 @@ _TRAIL_FLOOR = 40.0  # the active range starts at least this far behind the fron
 _TRAIL_REACHES = 8  # ... and at least this many widest stencil reaches
 
 
-@dataclass(frozen=True)
-class BirthFunction:
-    """Monostable birth term g with g(0) = 0 and g'(0) = p > 1.
+class _BirthFunction(NamedTuple):
+    kind: str
+    p: float
+
+
+class BirthFunction(_BirthFunction):
+    """Monostable birth term g with g(0) = 0 and g'(0) = p > 1, as a tuple.
 
     Variants: "nicholson" g(u) = p*u*exp(-u) (positive equilibrium
     ln p) and "capped-linear" g(u) = min(p*u, p) (equilibrium p; any
@@ -125,14 +128,19 @@ class BirthFunction:
     spreading speed should match the solver's c*.
     """
 
-    kind: str
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("nicholson", "capped-linear"):
             raise DomainError(f"unknown birth function kind {self.kind!r}")
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise DomainError(f"birth function needs p > 1, got {self.p}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):     # so that _replace runs the checks too
+        return cls(*fields)
 
     @classmethod
     def nicholson(cls, p: float) -> "BirthFunction":
@@ -155,9 +163,15 @@ class BirthFunction:
         return np.minimum(self.p * u, self.p)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Grid, time horizon and initial step of one run.
+class _SimConfig(NamedTuple):
+    length: float = 400.0
+    dx: float = 0.1
+    t_end: float = 100.0
+    init_width: float = 20.0          # initial step occupies [0, init_width]
+
+
+class SimConfig(_SimConfig):
+    """Grid, time horizon and initial step of one run, as a tuple.
 
     length bounds the domain; make_state sizes the grid only up to where
     the linear majorant falls to 2^-53 of g's equilibrium by t_end, when
@@ -166,12 +180,10 @@ class SimConfig:
     are fixed.
     """
 
-    length: float = 400.0
-    dx: float = 0.1
-    t_end: float = 100.0
-    init_width: float = 20.0          # initial step occupies [0, init_width]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.dx > 0.0 and math.isfinite(self.dx)):
             raise DomainError(f"dx must be positive, got {self.dx}")
         if not (math.isfinite(self.length) and self.length >= 20.0 * self.dx):
@@ -182,11 +194,18 @@ class SimConfig:
             raise DomainError(f"t_end must be finite and positive, got {self.t_end}")
         if not (0.0 < self.init_width < self.length):
             raise DomainError("init_width must lie inside the domain")
+        return self
+
+    @classmethod
+    def _make(cls, fields):     # so that _replace runs the checks too
+        return cls(*fields)
 
 
-@dataclass
 class SimState:
     """Mutable state of one run; owned exclusively by that run.
+
+    The one record that is not a tuple: make_state sets the fields below
+    by keyword, and t and clamp_events start from the class's values.
 
     apply_s, apply_pa, apply_pb and apply_k apply the step's stencils
     S, Pa, Pb (mirror ghosts) and the discrete kernel K (edge
@@ -227,10 +246,14 @@ class SimState:
     t: float = 0.0
     clamp_events: int = 0
 
+    def __init__(self, **fields):
+        # one setattr each: a bulk __dict__ update would slow every read
+        for name, value in fields.items():
+            setattr(self, name, value)
 
-@dataclass(frozen=True)
-class SimResult:
-    """Front trace and fitted speed of one run."""
+
+class SimResult(NamedTuple):
+    """Front trace and fitted speed of one run, as a tuple."""
 
     times: tuple[float, ...]
     front: tuple[float, ...]

@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import bounds as _bounds
 from .charfun import (_EPS_FLOOR, CriticalPoint, G_value, ModelParams,
@@ -61,9 +60,8 @@ _ENDPOINT_RTOL = 1e-6
 _ENTRY_PSI_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class _SolverConfig:
-    """The solver's fixed tolerances and iteration caps."""
+class _SolverConfig(NamedTuple):
+    """The solver's fixed tolerances and iteration caps, as a tuple."""
 
     eps_rel_tol: float = 1e-12
     residual_tol: float = 1e-9
@@ -75,19 +73,7 @@ class _SolverConfig:
 DEFAULT_CONFIG = _SolverConfig()
 
 
-@dataclass(frozen=True)
-class SpeedCurve:
-    """Sampled critical curve h -> (eps0, z0, c_star) with diagnostics.
-
-    Samples are ordered by strictly increasing h, and c_star must come
-    out strictly decreasing; delay only ever slows the front, so a
-    violation is treated as data corruption, not as an interesting
-    result.  res_psi/res_psi_z are absolute residuals of
-    each sample (for continuation methods they measure drift off the
-    true curve).  endpoint_gap is the relative c* disagreement against
-    a direct solve at the far end (continuation methods only).
-    """
-
+class _SpeedCurve(NamedTuple):
     method: str
     h: tuple[float, ...]
     eps0: tuple[float, ...]
@@ -97,7 +83,24 @@ class SpeedCurve:
     res_psi_z: tuple[float, ...]
     endpoint_gap: Optional[float] = None
 
-    def __post_init__(self):
+
+class SpeedCurve(_SpeedCurve):
+    """Sampled critical curve h -> (eps0, z0, c_star) with diagnostics.
+
+    A tuple of the fields above; len(curve.h) counts its samples.
+    Samples are ordered by strictly increasing h, and c_star must come
+    out strictly decreasing; delay only ever slows the front, so a
+    violation is treated as data corruption, not as an interesting
+    result.  res_psi/res_psi_z are absolute residuals of
+    each sample (for continuation methods they measure drift off the
+    true curve).  endpoint_gap is the relative c* disagreement against
+    a direct solve at the far end (continuation methods only).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.method not in _CURVE_METHODS:
             raise DomainError(
                 f"method must be one of {_CURVE_METHODS}, got {self.method!r}")
@@ -114,9 +117,11 @@ class SpeedCurve:
                 raise DomainError(
                     f"c_star must be strictly decreasing; violated between "
                     f"h={self.h[i]:g} and h={self.h[i + 1]:g}")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.h)
+    @classmethod
+    def _make(cls, fields):     # so that _replace runs the checks too
+        return cls(*fields)
 
 
 def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, float]:
@@ -151,6 +156,7 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
     x = 0.5 * (lo + hi)
     dx_old = hi - lo
     dx = dx_old
+    tol = DEFAULT_CONFIG.inner_tol
     for _ in range(DEFAULT_CONFIG.max_inner):
         try:
             ev = psi_eval(x, eps, params, kernel)
@@ -162,7 +168,7 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
             x = 0.5 * (lo + hi)
             dx_old = dx = hi - lo
             continue
-        if abs(ev.dz) <= DEFAULT_CONFIG.inner_tol:
+        if abs(ev.dz) <= tol:
             return x, ev.value
         if ev.dz > 0.0:
             hi = x
@@ -458,10 +464,10 @@ def solve_ivp_rho0(p: float, alpha: float) -> float:
         return 1.0 + x - p * math.exp(-alpha * x)
 
     lo, hi = _bounds._bisect_sign(lambda x: not f(x) < 0.0, 0.0, float(p))
-    x = 0.5 * (lo + hi)
+    x = 0.5 * lo + 0.5 * hi
     for _ in range(2):
         x -= f(x) / (1.0 + alpha * p * math.exp(-alpha * x))
-    return 1.0 / (4.0 * x)
+    return 0.25 / x
 
 
 def _real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:

@@ -14,10 +14,22 @@ through `_fold_atoms` onto the contiguous offsets a density gets.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, MgfOverflowError
 from .kernels import _EXP_LIMIT, Kernel, _require
+
+
+@functools.cache
+def _gauss_legendre(order: int):
+    """leggauss(order), computed once per process: (nodes, weights), both
+    read-only, since every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _atom_cells(support, dx: float) -> np.ndarray:
@@ -106,7 +118,7 @@ class TabulatedKernel(Kernel):
         """
         _require(half_width > 0.0, f"half_width must be positive, got {half_width}")
         edges = np.linspace(0.0, half_width, cls._GL_PANELS + 1)
-        xg, wg = np.polynomial.legendre.leggauss(cls._GL_ORDER)
+        xg, wg = _gauss_legendre(cls._GL_ORDER)
         pos, mass = [], []
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -67,6 +67,17 @@ class TestExplicitConstants:
         assert b.upper_k2 == math.inf
         assert b.upper == b.upper_k1 < math.inf
 
+    def test_k1_where_its_denominator_overflows(self):
+        # alpha = 1e3 has m2 = 2e3, so 1 + (p/2) m2 overflows from p near
+        # 1.8e305; q = sqrt((p-1)/inf) was 0 and k1 with it, which left
+        # the window's upper end below its lower one.  q ~ 1/sqrt(1e3) and
+        # M'(q) = 2 alpha q e^{alpha q^2}
+        kernel = GaussianKernel(1e3)
+        q = 1.0 / math.sqrt(1e3)
+        expected = 2.0 * q + 1e306 * (2e3 * q * math.e)
+        assert rel(k1(1e306, kernel), expected) < 1e-13
+        assert k1(1e308, kernel) == math.inf
+
     def test_dirac_k2_is_exact_speed(self):
         # point kernel: M = 1, so k2 = sqrt(ln p), which is exactly the
         # unit-delay speed; the upper bound is sharp there

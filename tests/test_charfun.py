@@ -37,6 +37,8 @@ class TestModelParams:
         for p in (1.0, 0.5, 0.0, -2.0, math.nan):
             with pytest.raises(DomainError):
                 ModelParams(p=p, h=1.0)
+            with pytest.raises(DomainError):
+                ModelParams(p=2.0, h=1.0)._replace(p=p)
 
     def test_rejects_negative_or_nonfinite_delay(self):
         for h in (-0.1, math.nan, math.inf):

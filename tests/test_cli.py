@@ -1,6 +1,5 @@
 """Command-line interface: output formats, exit codes, file artifacts."""
 
-import dataclasses
 import math
 
 import pytest
@@ -453,8 +452,8 @@ class TestFigure2Command:
 
         def drifted(*args, **kwargs):
             curve = true_continue(*args, **kwargs)
-            return dataclasses.replace(
-                curve, c_star=tuple(c * (1.0 + 1e-5) for c in curve.c_star))
+            return curve._replace(
+                c_star=tuple(c * (1.0 + 1e-5) for c in curve.c_star))
         monkeypatch.setattr(cli, "continue_ode", drifted)
         out = tmp_path / "figure2.csv"
         assert main(["figure2", "--out", str(out)]) == 3

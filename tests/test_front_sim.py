@@ -1,6 +1,5 @@
 """Direct front simulation: configuration, stepping, and measurement."""
 
-import dataclasses
 import json
 import math
 import os
@@ -79,12 +78,16 @@ class TestBirthFunction:
             BirthFunction.nicholson(1.0)
         with pytest.raises(DomainError, match="unknown birth function kind"):
             BirthFunction("foo", 2.0)
+        with pytest.raises(DomainError, match="unknown birth function kind"):
+            BirthFunction.nicholson(2.0)._replace(kind="foo")
 
 
 class TestSimConfig:
     def test_rejects_tiny_domain(self):
         with pytest.raises(DomainError):
             SimConfig(length=1.0, dx=0.1)
+        with pytest.raises(DomainError):
+            SimConfig()._replace(length=1.0)
 
     def test_rejects_init_outside_domain(self):
         with pytest.raises(DomainError):
@@ -537,7 +540,7 @@ def _full_domain_state(cfg, params, kernel, g):
     any length (ceil(1e300 / Delta) is still finite), so make_state
     trims nothing; the caller chooses how many steps to take.
     """
-    state = make_state(dataclasses.replace(cfg, t_end=1e300), params, kernel, g)
+    state = make_state(cfg._replace(t_end=1e300), params, kernel, g)
     assert state.u.size == round(cfg.length / cfg.dx) + 1
     return state
 

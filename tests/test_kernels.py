@@ -20,6 +20,7 @@ from wavespeed.kernels import (
     tabulated_twin,
 )
 from wavespeed.solver import solve_critical
+from wavespeed.tabulated import _gauss_legendre
 
 LAMBDAS = (0.0, 0.1, 0.37, 0.8, 1.3, 2.0)
 
@@ -337,6 +338,14 @@ class TestQuadratureTwins:
     def test_twin_of_twin_is_itself(self):
         twin = tabulated_twin(GaussianKernel(1.0))
         assert tabulated_twin(twin) is twin
+
+    def test_gauss_legendre_rule_is_built_once(self):
+        # every twin shares one read-only copy of leggauss's 32-point rule
+        rule = _gauss_legendre(TabulatedKernel._GL_ORDER)
+        assert _gauss_legendre(TabulatedKernel._GL_ORDER) is rule
+        for got, want in zip(rule, np.polynomial.legendre.leggauss(32)):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
 
 class TestDiscreteWeights:

@@ -1,8 +1,10 @@
-"""numpy loads only where arrays are computed.
+"""numpy loads only where arrays are computed, and dataclasses nowhere.
 
 The solver, the bounds and the curve commands are scalar math; only the
-simulator and tabulated kernels import numpy.  Each check runs in a
-fresh interpreter, since the test process already holds numpy.
+simulator and tabulated kernels import numpy.  Every record is a
+NamedTuple (SimState a plain class), so no job needs dataclasses.
+Each check runs in a fresh interpreter, since the test process already
+holds numpy.
 """
 
 import subprocess
@@ -32,14 +34,17 @@ SCALAR_JOBS = [
 ]
 
 
-def _numpy_loaded_after(code: str, cwd: Path) -> bool:
-    """Run code in a new interpreter; whether it left numpy imported."""
+def _loaded_after(code: str, cwd: Path) -> set:
+    """Run code in a new interpreter; which of numpy and dataclasses it
+    left imported."""
     script = (f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
-              "print('numpy' in sys.modules)")
+              "print('loaded:', *{'numpy', 'dataclasses'} & set(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1] == "True"
+    last = proc.stdout.strip().splitlines()[-1].split()
+    assert last[0] == "loaded:", proc.stdout
+    return set(last[1:])
 
 
 def _cli(argv) -> str:
@@ -47,9 +52,10 @@ def _cli(argv) -> str:
 
 
 def test_scalar_jobs_never_load_numpy(tmp_path):
+    # nor dataclasses: every record is a NamedTuple or a plain class
     code = "\n".join(["import wavespeed, wavespeed.cli"]
                      + [_cli(argv) for argv in SCALAR_JOBS])
-    assert not _numpy_loaded_after(code, tmp_path)
+    assert _loaded_after(code, tmp_path) == set()
     assert (tmp_path / "figure2.csv").is_file()
 
 
@@ -61,8 +67,8 @@ def test_scalar_jobs_never_load_numpy(tmp_path):
 ], ids=["simulate", "table-kernel", "tabulated-twin"])
 def test_array_jobs_load_numpy(tmp_path, code):
     (tmp_path / "atoms.csv").write_text("s,weight\n0,1\n1,1\n", encoding="utf-8")
-    assert _numpy_loaded_after("import wavespeed, wavespeed.cli\n" + code,
-                               tmp_path)
+    assert "numpy" in _loaded_after("import wavespeed, wavespeed.cli\n" + code,
+                                    tmp_path)
 
 
 def test_star_import_resolves_every_name():

@@ -338,9 +338,12 @@ class TestSolveCritical:
         (GaussianKernel(1.0), 1e156, 1.0),
         (UniformKernel(1.0), 1e154, 0.0),
         (TwoPointKernel(1.0), 1e154, 0.0),
-    ])
+    ] + [(GaussianKernel(1e3), p, h) for p in (1e306, 1e308)
+         for h in (0.0, 1.0, 100.0)])
     def test_upper_bound_past_1e154_is_refused(self, kernel, p, h):
-        # eps = 1/upper^2 at the window's end underflows to 0
+        # eps = 1/upper^2 at the window's end underflows to 0; for alpha =
+        # 1e3, 1 + (p/2) m2 overflows, where k1 was 0 and the window
+        # [26.5, 0] raised a BracketError that called itself a bug
         with pytest.raises(DomainError, match="the upper speed bound"):
             solve_critical(ModelParams(p=p, h=h), kernel)
 
@@ -502,6 +505,14 @@ class TestSolveIvpRho0:
                 x = 1.0 / (4.0 * rho)
                 resid = abs(1.0 + x - p * math.exp(-alpha * x))
                 assert resid <= 1e-12 * max(1.0, x), (p, alpha, resid)
+
+    @pytest.mark.parametrize("p, alpha", [(1.7e308, 1e-310),
+                                          (1.7976931348623157e308, 5e-324)])
+    def test_root_past_half_the_double_range(self, p, alpha):
+        # the root x lies close to p, so both bracket ends pass 9e307,
+        # where the midpoint 0.5*(lo + hi) overflowed and the seed was NaN;
+        # the seed is subnormal there, and x < p puts it above 0.25/p
+        assert 0.25 / p <= solve_ivp_rho0(p, alpha) < math.inf
 
     @pytest.mark.parametrize("p, alpha", [(1.5, 1e3), (1e70, 1.0),
                                           (1e200, 1e6), (1e306, 1e-6)])
@@ -669,7 +680,7 @@ class TestContinueOde:
     def test_single_point(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
         curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 1.0, steps=10)
-        assert len(curve) == 1
+        assert len(curve.h) == 1
 
     def test_rejects_off_curve_seed(self):
         with pytest.raises(DomainError):
@@ -735,7 +746,7 @@ class TestSweepDirect:
         assert curve.method == "direct"
         assert curve.h == (0.5, 1.0, 2.0)
         assert all(curve.c_star[i] > curve.c_star[i + 1]
-                   for i in range(len(curve) - 1))
+                   for i in range(len(curve.h) - 1))
 
     def test_rejects_empty_grid(self):
         with pytest.raises(DomainError):
@@ -754,6 +765,11 @@ class TestSpeedCurveValidation:
             SpeedCurve(method="direct", h=(0.5, 1.0), eps0=(1.0, 2.0),
                        z0=(1.0, 1.0), c_star=(0.7, 0.9),
                        res_psi=(0.0, 0.0), res_psi_z=(0.0, 0.0))
+        curve = SpeedCurve(method="direct", h=(0.5, 1.0), eps0=(1.0, 2.0),
+                           z0=(1.0, 1.0), c_star=(0.9, 0.7),
+                           res_psi=(0.0, 0.0), res_psi_z=(0.0, 0.0))
+        with pytest.raises(DomainError):
+            curve._replace(c_star=(0.7, 0.9))
 
     def test_rejects_unknown_method(self):
         with pytest.raises(DomainError):
