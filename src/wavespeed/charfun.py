@@ -78,8 +78,9 @@ class CriticalPoint(NamedTuple):
     """Converged double root (z0, eps0) with its certificate, as a tuple.
 
     w0 = sqrt(eps0)*z0 and c_star = 1/sqrt(eps0) are derived fields.
-    res_* are absolute residuals; psi_zz and psi_eps are the transversality
-    factors and must be positive at a genuine critical point.
+    res_* are absolute residuals (wform_residuals gives the w-form pair);
+    psi_zz and psi_eps are the transversality factors, positive at a
+    genuine critical point.  solve_critical decides whether they pass.
     """
 
     z0: float
@@ -90,8 +91,6 @@ class CriticalPoint(NamedTuple):
     res_psi_z: float
     psi_zz: float
     psi_eps: float
-    res_ew: float
-    res_eww: float
 
 
 def psi_eval(z: float, eps: float, params: ModelParams, kernel: Kernel) -> PsiEval:
@@ -173,19 +172,15 @@ def R_value(w: float, p: float, kernel: Kernel) -> float:
 
 def critical_point(z0: float, eps0: float, params: ModelParams,
                    kernel: Kernel) -> CriticalPoint:
-    """Package a root candidate into a CriticalPoint with its certificate."""
+    """Package a root candidate into a CriticalPoint: one psi_eval."""
     ev = psi_eval(z0, eps0, params, kernel)
-    w0 = math.sqrt(eps0) * z0
-    rho_ew, rho_eww = wform_residuals(w0, eps0, params, kernel)
     return CriticalPoint(
         z0=z0,
         eps0=eps0,
-        w0=w0,
+        w0=math.sqrt(eps0) * z0,
         c_star=1.0 / math.sqrt(eps0),
         res_psi=abs(ev.value),
         res_psi_z=abs(ev.dz),
         psi_zz=ev.dzz,
         psi_eps=ev.deps,
-        res_ew=abs(rho_ew),
-        res_eww=abs(rho_eww),
     )

@@ -290,7 +290,7 @@ def _window_end(eps: float, upper: bool, params: ModelParams,
     raise BracketError(f"psi_min is {f:.3g} at {end} eps = {eps:.17g}")
 
 
-def _eps_bracket(params: ModelParams,
+def _eps_bracket(lower: float, upper: float, params: ModelParams,
                  kernel: Kernel) -> tuple[float, float, float, float, float]:
     """Eps bracket (lo, a, b, hi, z): lo <= a < b <= hi around eps0.
 
@@ -309,7 +309,6 @@ def _eps_bracket(params: ModelParams,
     below charfun's eps floor (to 0 past 1.3e154), so both raise
     DomainError first.
     """
-    lower, upper = _bounds.bound_window(params, kernel)
     if not (0.0 < lower <= upper * (1.0 + 1e-12)):
         raise BracketError(
             f"bound window [{lower:g}, {upper:g}] is invalid; "
@@ -410,10 +409,11 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
     min_psi otherwise (_min_psi_sign); eps0 gets a cold min_psi.  Every
     decision equals the cold one, so the result is that of bisection
     with a cold min_psi at every bracket end and midpoint.
-    The returned point carries residuals and the positivity certificate
-    (psi_zz, psi_eps); residuals above 1e-9 raise ConvergenceError.
+    The point is certified: |psi|, |psi_z| <= 1e-9, psi_zz, psi_eps > 0
+    and c* in the window to 1e-12 (relative), or ConvergenceError.
     """
-    lo, below, above, hi, z = _eps_bracket(params, kernel)
+    lower, upper = _bounds.bound_window(params, kernel)
+    lo, below, above, hi, z = _eps_bracket(lower, upper, params, kernel)
     for _ in range(DEFAULT_CONFIG.max_bisect):
         if hi - lo <= DEFAULT_CONFIG.eps_rel_tol * hi:
             break
@@ -444,6 +444,9 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
     if not (cp.psi_zz > 0.0 and cp.psi_eps > 0.0):
         raise ConvergenceError(
             "transversality certificate failed (psi_zz or psi_eps <= 0)")
+    if not lower * (1.0 - 1e-12) <= cp.c_star <= upper * (1.0 + 1e-12):
+        raise ConvergenceError(f"c* = {cp.c_star:.17g} lies outside its "
+                               f"bound window [{lower:.17g}, {upper:.17g}]")
     return cp
 
 
@@ -578,9 +581,9 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
     Classical fixed-step RK4 over `steps` steps from h0 to h_end (either
     direction); at every stage w0 is retrieved with the Gaussian cubic
     when available, else (or on CubicRootError) with the generic
-    minimizer.  Any other stage failure ends the run with its own error,
-    and a stage or step that takes eps to zero, below or out of range
-    raises ConvergenceError: more steps shorten the overshoot.
+    minimizer.  Any other stage failure ends the run with its own class;
+    a stage ConvergenceError names the stage, and it and a stage or step
+    that takes eps to zero, below or out of range ask for more steps.
     The seed must already satisfy |psi_min(eps_init)| <= 1e-7 and the
     endpoint is cross-checked against a direct solve at h_end.
     """
@@ -604,7 +607,13 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         return eps
 
     def slope(h: float, eps: float) -> tuple[float, float]:
-        w0 = _w0_on_curve(p, kernel, h, checked(h, eps))
+        checked(h, eps)
+        try:
+            w0 = _w0_on_curve(p, kernel, h, eps)
+        except ConvergenceError as exc:     # a stage far off the curve
+            raise ConvergenceError(
+                f"{exc} in the stage at h={h:g}, eps={eps:.6g}; "
+                "increase steps") from None
         g = G_value(w0, eps)
         return w0, 2.0 * eps * g / (1.0 + h * g)
 

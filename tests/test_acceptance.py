@@ -132,10 +132,12 @@ def test_06_residual_certificates(capsys):
     worst_psi = worst_dz = worst_w = 0.0
     convex = True
     for kernel, h in cases:
-        cp = solve_critical(ModelParams(p=2.0, h=h), kernel)
+        params = ModelParams(p=2.0, h=h)
+        cp = solve_critical(params, kernel)
         worst_psi = max(worst_psi, cp.res_psi)
         worst_dz = max(worst_dz, cp.res_psi_z)
-        worst_w = max(worst_w, abs(cp.res_ew), abs(cp.res_eww))
+        r_ew, r_eww = wform_residuals(cp.w0, cp.eps0, params, kernel)
+        worst_w = max(worst_w, abs(r_ew), abs(r_eww))
         convex = convex and cp.psi_zz > 0.0 and cp.psi_eps > 0.0
     ok = (worst_psi <= 1e-9 and worst_dz <= 1e-9
           and worst_w <= 1e-8 and convex)

@@ -182,7 +182,9 @@ class TestCriticalPointBuilder:
         # the builder reports must vanish to roundoff
         assert cp.res_psi < 1e-12
         assert cp.res_psi_z < 1e-12
-        assert cp.res_ew < 1e-11
-        assert cp.res_eww < 1e-11
+        r_ew, r_eww = wform_residuals(cp.w0, cp.eps0, params,
+                                      GaussianKernel(1.0))
+        assert abs(r_ew) < 1e-11
+        assert abs(r_eww) < 1e-11
         assert cp.psi_zz > 0.0
         assert cp.psi_eps > 0.0

@@ -76,6 +76,15 @@ class TestSpeedCommand:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "upper speed bound" in lines[0]
 
+    def test_certifies_where_the_wform_overflowed(self, capsys):
+        # e^{z0 h} = 1e307 at the double root; the certificate is psi's,
+        # which stays in range, and the window is the point sqrt(ln p)
+        assert main(["speed", "--p", "1e307", "--h", "1",
+                     "--kernel", "dirac"]) == 0
+        fields = parse_kv_stdout(capsys.readouterr().out)
+        assert rel(float(fields["c_star"]), math.sqrt(math.log(1e307))) < 1e-11
+        assert fields["inside"] == "yes"
+
     def test_rejects_unknown_kernel(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["speed", "--p", "2", "--h", "1", "--kernel", "blob:a=1"])
@@ -184,6 +193,20 @@ class TestCurveCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: DomainError: ")
+        assert not out.exists()
+
+    def test_stalled_stage_names_samples(self, tmp_path, capsys):
+        # min_psi stalls at a stage far off the curve; shorter steps are
+        # the cure, so the one error line names --samples
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--p", "1000", "--kernel", "uniform:a=100",
+                     "--h-max", "5", "--samples", "101", "--method", "ode",
+                     "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: ConvergenceError: ")
+        assert "stalled" in lines[0]
+        assert lines[0].endswith("increase --samples")
         assert not out.exists()
 
     def test_refused_points_leave_empty_fields(self, tmp_path, capsys):
@@ -342,6 +365,14 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == 3
         assert "(ode-continuation)" in out
+
+    def test_certificates_pass_where_the_wform_is_large(self, capsys):
+        # at h = 1 the w-form residual is 1.1e19 while |psi| is 2.8e-10:
+        # it is e^{z0 h} times |psi|, so only psi's certificate is gated
+        assert main(["verify", "--p", "50", "--kernel", "twopoint:a=50"]) == 0
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out
+        assert "[PASS] critical-point-certificates" in out
 
     def test_huge_p_fails_by_name(self, capsys):
         # the Gaussian seed equation answers at p = 1e70; the direct solve

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import IVP_REFERENCE, REFERENCE, rel
 from wavespeed import solver
 from wavespeed.bounds import ad_upper_opt, bound_window
-from wavespeed.charfun import ModelParams, critical_point, psi_eval
+from wavespeed.charfun import (ModelParams, critical_point, psi_eval,
+                               wform_residuals)
 from wavespeed.errors import (
     ConvergenceError,
     CubicRootError,
@@ -25,6 +26,7 @@ from wavespeed.kernels import (
     GaussianKernel,
     TwoPointKernel,
     UniformKernel,
+    kernel_from_spec,
     tabulated_twin,
 )
 from wavespeed.solver import (
@@ -408,13 +410,69 @@ class TestSolveCritical:
             assert rel(speeds[h], c_star) < 1e-12
 
     def test_certificate_fields(self):
-        cp = solve_critical(ModelParams(p=3.0, h=2.0), GAUSS1)
+        params = ModelParams(p=3.0, h=2.0)
+        cp = solve_critical(params, GAUSS1)
         assert cp.res_psi <= 1e-9
         assert cp.res_psi_z <= 1e-9
         assert cp.psi_zz > 0.0
         assert cp.psi_eps > 0.0
-        assert abs(cp.res_ew) <= 1e-8
-        assert abs(cp.res_eww) <= 1e-8
+        r_ew, r_eww = wform_residuals(cp.w0, cp.eps0, params, GAUSS1)
+        assert abs(r_ew) <= 1e-8
+        assert abs(r_eww) <= 1e-8
+
+    def test_refuses_a_speed_outside_its_window(self, monkeypatch):
+        # a window cut just below c*: its eps end, halved once, is below
+        # eps0 again, so the bisection finds c* and the certificate must
+        # refuse it rather than return a speed the bounds exclude
+        params = ModelParams(p=2.0, h=1.0)
+        c_star = solve_critical(params, GAUSS1).c_star
+        monkeypatch.setattr(
+            solver._bounds, "bound_window",
+            lambda params, kernel: (bound_window(params, kernel)[0],
+                                    (1.0 - 1e-6) * c_star))
+        with pytest.raises(ConvergenceError, match="outside its bound window"):
+            solve_critical(params, GAUSS1)
+
+
+# (kernel, p, h) -> the class solve_critical raises there, or None where
+# it certifies.  e^{z0 h} leaves double range at every one of them,
+# which psi's certificate never evaluates; the table is exact, like
+# test_edge_domain's
+LARGE_P = {
+    **{("dirac", 1e307, h): None for h in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0)},
+    ("gaussian:alpha=0.1", 1e250, 0.5): None,
+    ("uniform:a=10", 1e150, 0.5): None,
+    ("uniform:a=10", 1e200, 1.0): None,
+    ("twopoint:a=5", 1e250, 1.0): None,
+    # p e^{-z h} underflows to 0 past z h = 745.13, and min_psi returns
+    # that edge: residuals (|psi|, |psi_z|) of (5.45, 0.994) and (4.92e-7, 1)
+    ("uniform:a=10", 1e200, 0.5): "ConvergenceError",
+    ("twopoint:a=5", 1e250, 0.5): "ConvergenceError",
+}
+
+
+class TestLargeSlope:
+    @pytest.mark.parametrize("spec, p, h", sorted(LARGE_P),
+                             ids=[f"{s}-p{p:g}-h{h:g}"
+                                  for s, p, h in sorted(LARGE_P)])
+    def test_certifies_or_fails_as_recorded(self, spec, p, h):
+        params = ModelParams(p=p, h=h)
+        kernel = kernel_from_spec(spec)
+        expected = LARGE_P[(spec, p, h)]
+        if expected is None:
+            assert_certified(solve_critical(params, kernel), params, kernel)
+        else:
+            with pytest.raises(NumericalError) as info:
+                solve_critical(params, kernel)
+            assert type(info.value).__name__ == expected
+
+    def test_dirac_unit_delay_at_the_largest_slope(self):
+        # z0 = ln p = 706.9, where e^{z0 h} is 1e307; c* = sqrt(ln p)
+        p = 1e307
+        speeds = [solve_critical(ModelParams(p=p, h=h), DiracKernel()).c_star
+                  for h in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0)]
+        assert rel(speeds[1], math.sqrt(math.log(p))) < 1e-12
+        assert all(a > b for a, b in zip(speeds, speeds[1:])), speeds
 
 
 class TestLongDelayAnchor:
@@ -446,7 +504,9 @@ def assert_cold_signs(params, kernel):
     # midpoint >= above as above, and takes the window ends' signs from
     # them unless an end stayed uncertified; a cold min_psi must agree at
     # both
-    lo, below, above, hi, _ = solver._eps_bracket(params, kernel)
+    lower, upper = bound_window(params, kernel)
+    lo, below, above, hi, _ = solver._eps_bracket(lower, upper, params,
+                                                  kernel)
     assert lo <= below < above <= hi
     assert min_psi(below, params, kernel)[1] < 0.0
     assert min_psi(above, params, kernel)[1] > 0.0
@@ -710,7 +770,7 @@ class TestContinueOde:
 
     def test_stage_failure_propagates(self, monkeypatch):
         # the first step's second stage fails: the run stops there with
-        # that stage's own error, and no other lookup is made
+        # that stage's own error and class, and no other lookup is made
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
         calls = self._failing_stages(monkeypatch, {1})
         with pytest.raises(ConvergenceError, match="injected stage failure"):
@@ -725,6 +785,17 @@ class TestContinueOde:
         seed = solve_critical(ModelParams(p=1000.0, h=1.0), kernel)
         with pytest.raises(ConvergenceError, match="increase steps"):
             continue_ode(1000.0, kernel, 1.0, seed.eps0, 0.0, 4)
+
+    def test_stalled_stage_asks_for_more_steps(self):
+        # at h = 0.00625, the first step's second stage lands so far off
+        # the curve that min_psi stalls; the error names the stage and
+        # the lever (6400 steps complete this run)
+        kernel = UniformKernel(100.0)
+        seed = solve_critical(ModelParams(p=1000.0, h=0.0), kernel)
+        with pytest.raises(ConvergenceError,
+                           match=r"stalled .* stage at h=0\.00625, "
+                                 r"eps=.*; increase steps$"):
+            continue_ode(1000.0, kernel, 0.0, seed.eps0, 5.0, steps=400)
 
     def test_leaves_no_reference_cycle(self):
         # the stage memo and the closures over it are freed on return by
