@@ -170,17 +170,10 @@ def R_value(w: float, p: float, kernel: Kernel) -> float:
     return p * kernel.mgf(w)
 
 
-def critical_point(z0: float, eps0: float, params: ModelParams,
-                   kernel: Kernel) -> CriticalPoint:
-    """Package a root candidate into a CriticalPoint: one psi_eval."""
-    ev = psi_eval(z0, eps0, params, kernel)
-    return CriticalPoint(
-        z0=z0,
-        eps0=eps0,
-        w0=math.sqrt(eps0) * z0,
-        c_star=1.0 / math.sqrt(eps0),
-        res_psi=abs(ev.value),
-        res_psi_z=abs(ev.dz),
-        psi_zz=ev.dzz,
-        psi_eps=ev.deps,
-    )
+def critical_point(z0: float, eps0: float, ev: PsiEval) -> CriticalPoint:
+    """Package a root candidate and its ev = psi_eval(z0, eps0, ...) into a
+    CriticalPoint; nothing is evaluated here."""
+    root_eps = math.sqrt(eps0)
+    return CriticalPoint(z0=z0, eps0=eps0, w0=root_eps * z0, c_star=1.0 / root_eps,
+                         res_psi=abs(ev.value), res_psi_z=abs(ev.dz),
+                         psi_zz=ev.dzz, psi_eps=ev.deps)

@@ -17,7 +17,9 @@ Exit codes, the same for every command: 0 success, every c* certified
 (its window included) and every verify check passed; 2 an argument or
 DomainError (outside the domain, or a named double-range limit); 3 a
 NumericalError on admitted input or a failed verify check, where curve
---method direct still writes every row and leaves a failed one empty.
+--method direct still writes every row and leaves a failed one empty,
+while figure2 writes nothing unless every point certifies and its two
+legs agree.  bounds solves nothing and has no exit-3 path.
 All CSV output is deterministic: fixed column order, 12 significant
 digits, LF line endings.
 """
@@ -32,11 +34,11 @@ from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from .charfun import (G_value, H_value, ModelParams, R_value, _check_eps,
-                      psi_eval)
-from .errors import DomainError, NumericalError, WavespeedError
+                      psi_eval, wform_residuals)
+from .errors import DomainError, MgfOverflowError, NumericalError, WavespeedError
 from .kernels import GaussianKernel, Kernel, kernel_from_spec
-from .solver import (cardano_w0, continue_ode, min_psi, solve_critical,
-                     solve_ivp_rho0, sweep_direct)
+from .solver import (cardano_w0, continue_ode, solve_critical, solve_ivp_rho0,
+                     sweep_direct)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f", "#bcbd22")
@@ -291,8 +293,16 @@ def cmd_curves(args) -> int:
     rows = []
     for i in range(n):
         w = w_hi * i / (n - 1) if n > 1 else 0.0
-        rows.append((w, G_value(w, eps), H_value(w, eps, args.h),
-                     R_value(w, args.p, args.kernel)))
+        column = "H"
+        try:
+            hv = H_value(w, eps, args.h)
+            column = "R"
+            rows.append((w, G_value(w, eps), hv, R_value(w, args.p, args.kernel)))
+        except MgfOverflowError:
+            levers = "--eps or a smaller --h" if column == "H" else "--eps"
+            raise MgfOverflowError(
+                f"column {column} leaves double range at w = {w:.6g} (the grid "
+                f"ends at 1.5/sqrt(eps)); a larger {levers} keeps it finite") from None
     _write_csv(args.out, ("w", "G", "H", "R"), rows)
     print(f"wrote {n} rows to {args.out} (eps = {_fmt(eps)})")
     return 0
@@ -303,6 +313,8 @@ def cmd_verify(args) -> int:
     p = args.p
     checks: list[tuple[str, bool, str]] = []
     is_gaussian = isinstance(kernel, GaussianKernel)
+    # each delay is solved once, when a check first needs it
+    solve = functools.cache(lambda h: solve_critical(ModelParams(p=p, h=h), kernel))
 
     if is_gaussian:
         alpha = kernel.alpha
@@ -311,14 +323,14 @@ def cmd_verify(args) -> int:
         resid = abs(1.0 + x - p * math.exp(-alpha * x))
         checks.append(("ivp-equation-residual", resid <= 1e-12,
                        f"residual {resid:.3g}"))
-        cp_seed = solve_critical(ModelParams(p=p, h=alpha), kernel)
+        cp_seed = solve(alpha)
         rel = abs(cp_seed.eps0 - rho0) / cp_seed.eps0
         checks.append(("ivp-matches-direct-eps0", rel <= 1e-8,
                        f"rel diff {rel:.3g}"))
         h0, eps_seed = alpha, rho0
     else:
         h0 = 0.5
-        eps_seed = solve_critical(ModelParams(p=p, h=h0), kernel).eps0
+        eps_seed = solve(h0).eps0
 
     try:
         curve = continue_ode(p, kernel, h0, eps_seed, h0 + 2.0, steps=100)
@@ -331,17 +343,14 @@ def cmd_verify(args) -> int:
         ok = True
         detail = []
         for h in (1.0, 2.0):
-            cp = solve_critical(ModelParams(p=p, h=h), kernel)
+            cp = solve(h)
             w_c = cardano_w0(cp.eps0, h, kernel.alpha)
-            z, _ = min_psi(cp.eps0, ModelParams(p=p, h=h), kernel)
-            w_g = math.sqrt(cp.eps0) * z
-            diff = abs(w_c - w_g)
+            diff = abs(w_c - cp.w0)     # cp.w0 is min_psi's at cp.eps0
             ok = ok and diff <= 1e-8 * max(1.0, w_c)
             detail.append(f"h={h:g}: {diff:.3g}")
         checks.append(("cardano-vs-generic-w0", ok, "; ".join(detail)))
 
     import random as _random
-    from .charfun import wform_residuals
     rng = _random.Random(20240817)
     worst = 0.0
     for _ in range(50):
@@ -349,17 +358,13 @@ def cmd_verify(args) -> int:
         eps = rng.uniform(0.05, 4.0)
         h = rng.uniform(0.0, 3.0)
         pr = ModelParams(p=p, h=h)
-        ev = psi_eval(z, eps, pr, kernel)
-        rho_ew, _ = wform_residuals(math.sqrt(eps) * z, eps, pr, kernel)
-        lhs = rho_ew
-        rhs = -math.exp(z * h) * ev.value
+        rhs = -math.exp(z * h) * psi_eval(z, eps, pr, kernel).value
+        lhs, _ = wform_residuals(math.sqrt(eps) * z, eps, pr, kernel)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     checks.append(("wform-identity", worst <= 1e-10, f"worst rel {worst:.3g}"))
 
-    detail = []     # solve_critical raises unless its certificate holds
-    for h in (0.0, 1.0, 2.0):
-        cp = solve_critical(ModelParams(p=p, h=h), kernel)
-        detail.append(f"h={h:g}: |psi|={cp.res_psi:.2g}")
+    # solve_critical raises unless its certificate holds
+    detail = [f"h={h:g}: |psi|={solve(h).res_psi:.2g}" for h in (0.0, 1.0, 2.0)]
     checks.append(("critical-point-certificates", True, "; ".join(detail)))
 
     width = max(len(name) for name, _, _ in checks)

@@ -124,12 +124,14 @@ class SpeedCurve(_SpeedCurve):
         return cls(*fields)
 
 
-def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, float]:
-    """Minimize the strictly convex z -> psi(z, eps); return (z_min, psi_min).
+def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, PsiEval]:
+    """Minimize the strictly convex z -> psi(z, eps); return (z_min, ev).
 
     psi_z(0) = -1 - p*h < 0, so the minimum is interior; the sign change
     of psi_z is bracketed by doubling from z = 1 and then polished with
-    Newton safeguarded by the bracket.  An MgfOverflowError while
+    Newton safeguarded by the bracket.  ev is the psi_eval at z_min that
+    stopped the search (|psi_z| <= inner_tol, or the bracket's 4-ulp
+    exit), so ev.value is psi_min.  An MgfOverflowError while
     probing counts as psi_z = +inf: overflow means the kernel term has
     entered its growth regime, where its z-derivative factor is already
     positive (M'/M is increasing), so the sign information is correct
@@ -169,7 +171,7 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
             dx_old = dx = hi - lo
             continue
         if abs(ev.dz) <= tol:
-            return x, ev.value
+            return x, ev
         if ev.dz > 0.0:
             hi = x
         else:
@@ -180,7 +182,7 @@ def min_psi(eps: float, params: ModelParams, kernel: Kernel) -> tuple[float, flo
             # overflows there, the bracket has closed on the overflow edge
             x = 0.5 * (lo + hi)
             try:
-                return x, psi_eval(x, eps, params, kernel).value
+                return x, psi_eval(x, eps, params, kernel)
             except MgfOverflowError:
                 raise DomainError(
                     f"psi's minimizer at eps = {eps:.6g} lies where "
@@ -216,7 +218,7 @@ _BRACKET_TRIES = 32
 
 def _enclosed_sign(ev: PsiEval, z: float,
                    eps: float) -> tuple[Optional[bool], float]:
-    """Sign of a cold min_psi(eps)[1] > 0.0 from one evaluation at z.
+    """Sign of a cold min_psi(eps)[1].value > 0.0 from one evaluation at z.
 
     psi_zz >= 2*eps, so one evaluation at z > 0 encloses the minimum:
     psi - psi_z^2/(4*eps) <= min_z psi <= psi.  A sign is taken only when
@@ -243,17 +245,16 @@ def _newton_z(ev: PsiEval, z: float) -> float:
 
 
 def _min_psi_sign(eps: float, z: float, params: ModelParams,
-                  kernel: Kernel) -> tuple[float, float]:
-    """Sign of min_psi(eps)[1] from a warm z; return it and the next z.
+                  kernel: Kernel) -> tuple[bool, float]:
+    """min_psi(eps)[1].value > 0.0 from a warm z; return it and the next z.
 
-    The sign comes from the enclosure of _enclosed_sign, as +-1.0; each
-    evaluation moves z one Newton step towards the minimizer, which also
-    warms the next call.  When _SIGN_TRIES evaluations cannot decide,
-    one overflows, or one leaves undecided with its enclosure gap
+    The sign comes from the enclosure of _enclosed_sign; each evaluation
+    moves z one Newton step towards the minimizer, which also warms the
+    next call.  When _SIGN_TRIES evaluations cannot decide, one
+    overflows, or one leaves undecided with its enclosure gap
     psi_z^2/(4*eps) already within tau (so only rounding is left, and
-    another step cannot clear it), the cold min_psi(eps)[1] itself is
-    returned, so every comparison of the result with 0.0 equals the cold
-    one.
+    another step cannot clear it), the cold min_psi decides, so the
+    result always equals the cold comparison.
     """
     for _ in range(_SIGN_TRIES):
         try:
@@ -263,25 +264,25 @@ def _min_psi_sign(eps: float, z: float, params: ModelParams,
         above, tau = _enclosed_sign(ev, z, eps)
         z = _newton_z(ev, z)
         if above is not None:
-            return (1.0 if above else -1.0), z
+            return above, z
         if ev.dz * ev.dz / (4.0 * eps) <= tau:
             break
-    z, f = min_psi(eps, params, kernel)
-    return f, z
+    z, ev = min_psi(eps, params, kernel)
+    return ev.value > 0.0, z
 
 
 def _window_end(eps: float, upper: bool, params: ModelParams,
                 kernel: Kernel) -> float:
     """A window end whose cold min_psi sign is checked.
 
-    A lower end must be below (min_psi(eps)[1] < 0), and is halved up to
+    A lower end must be below (psi_min(eps) < 0), and is halved up to
     8 times until it is.  An upper end is proven above (> 0); a wider
     window would only yield a speed outside it, so any other sign there
     raises BracketError.  Each sign is that of one cold min_psi, as in
     plain bisection.
     """
     for _ in range(1 if upper else 9):
-        f = min_psi(eps, params, kernel)[1]
+        f = min_psi(eps, params, kernel)[1].value
         if (f > 0.0) if upper else (f < 0.0):
             return eps
         eps *= 0.5
@@ -294,7 +295,7 @@ def _eps_bracket(lower: float, upper: float, params: ModelParams,
                  kernel: Kernel) -> tuple[float, float, float, float, float]:
     """Eps bracket (lo, a, b, hi, z): lo <= a < b <= hi around eps0.
 
-    a is below (min_psi(a)[1] < 0) and b above (> 0), and so, as
+    a is below (psi_min(a) < 0) and b above (> 0), and so, as
     psi_min increases in eps, is every eps <= a and every eps >= b; z is
     a warm iterate near eps0.  lo and hi start as the explicit bound
     window, inflated by one part in 1e9, and _certified_bracket runs on
@@ -341,7 +342,7 @@ def _certified_bracket(
     w = sqrt(eps)*z = 1.  Each evaluation estimates psi_min ~ psi -
     psi_z^2/(2*psi_zz), with slope psi_eps, and moves z one Newton step.
     Where the evaluation's enclosure clears rounding (_enclosed_sign),
-    eps becomes a (a cold min_psi(eps)[1] < 0) or b (> 0); psi_min
+    eps becomes a (a cold psi_min(eps) < 0) or b (> 0); psi_min
     increases in eps, so every eps <= a is below and every eps >= b
     above.  While z is too far off for that estimate (the psi_z^2 term
     outweighs psi) the next evaluation stays at eps.  Otherwise eps aims
@@ -406,9 +407,10 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
     <= a as below and >= b as above with no evaluation.  Each midpoint
     inside (a, b) takes its sign from a warm Newton iterate z whenever
     the enclosure of psi_min at z clears rounding, and from a cold
-    min_psi otherwise (_min_psi_sign); eps0 gets a cold min_psi.  Every
-    decision equals the cold one, so the result is that of bisection
-    with a cold min_psi at every bracket end and midpoint.
+    min_psi otherwise (_min_psi_sign); eps0 gets a cold min_psi, and the
+    PsiEval it stopped on is the certificate (critical_point packages
+    it).  Every decision equals the cold one, so the result is that of
+    bisection with a cold min_psi at every bracket end and midpoint.
     The point is certified: |psi|, |psi_z| <= 1e-9, psi_zz, psi_eps > 0
     and c* in the window to 1e-12 (relative), or ConvergenceError.
     """
@@ -423,8 +425,8 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
         elif mid >= above:
             hi = mid
         else:
-            f, z = _min_psi_sign(mid, z, params, kernel)
-            if f > 0.0:
+            positive, z = _min_psi_sign(mid, z, params, kernel)
+            if positive:
                 hi = mid
             else:
                 lo = mid
@@ -434,8 +436,8 @@ def solve_critical(params: ModelParams, kernel: Kernel) -> CriticalPoint:
             f"within {DEFAULT_CONFIG.max_bisect} iterations")
 
     eps0 = 0.5 * (lo + hi)
-    z0, _ = min_psi(eps0, params, kernel)
-    cp = critical_point(z0, eps0, params, kernel)
+    z0, ev = min_psi(eps0, params, kernel)
+    cp = critical_point(z0, eps0, ev)
     tol = DEFAULT_CONFIG.residual_tol
     if cp.res_psi > tol or cp.res_psi_z > tol:
         raise ConvergenceError(
@@ -593,7 +595,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         raise DomainError(f"eps_init must be positive, got {eps_init}")
     params0 = ModelParams(p=p, h=h0)  # validates p, h0
     ModelParams(p=p, h=h_end)
-    _, psi_seed = min_psi(eps_init, params0, kernel)
+    psi_seed = min_psi(eps_init, params0, kernel)[1].value
     if abs(psi_seed) > _ENTRY_PSI_TOL:
         raise DomainError(
             f"eps_init={eps_init:g} is not on the critical curve at h={h0:g} "

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import REFERENCE, on_curve_points, rel
+from wavespeed import charfun
 from wavespeed.charfun import (
     G_value,
     H_value,
@@ -175,7 +176,8 @@ class TestCriticalPointBuilder:
     def test_fields_are_consistent(self):
         ref = REFERENCE["gauss_h1"]
         params = ModelParams(p=2.0, h=1.0)
-        cp = critical_point(ref["z0"], ref["eps0"], params, GaussianKernel(1.0))
+        ev = psi_eval(ref["z0"], ref["eps0"], params, GaussianKernel(1.0))
+        cp = critical_point(ref["z0"], ref["eps0"], ev)
         assert rel(cp.w0, math.sqrt(cp.eps0) * cp.z0) < 1e-15
         assert rel(cp.c_star, 1.0 / math.sqrt(cp.eps0)) < 1e-15
         # the reference pair is a genuine double root, so every residual
@@ -188,3 +190,16 @@ class TestCriticalPointBuilder:
         assert abs(r_eww) < 1e-11
         assert cp.psi_zz > 0.0
         assert cp.psi_eps > 0.0
+
+    def test_packages_without_evaluating(self, monkeypatch):
+        ref = REFERENCE["gauss_h1"]
+        ev = psi_eval(ref["z0"], ref["eps0"], ModelParams(p=2.0, h=1.0),
+                      GaussianKernel(1.0))
+
+        def refuse(*args):
+            raise AssertionError("critical_point evaluated psi")
+
+        monkeypatch.setattr(charfun, "psi_eval", refuse)
+        cp = critical_point(ref["z0"], ref["eps0"], ev)
+        assert (cp.res_psi, cp.res_psi_z) == (abs(ev.value), abs(ev.dz))
+        assert (cp.psi_zz, cp.psi_eps) == (ev.dzz, ev.deps)

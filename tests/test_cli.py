@@ -6,11 +6,11 @@ import pytest
 
 from conftest import REFERENCE, rel
 from wavespeed.charfun import ModelParams
-from wavespeed import cli
+from wavespeed import cli, solver
 from wavespeed.cli import main
-from wavespeed.errors import ConvergenceError
-from wavespeed.kernels import GaussianKernel
-from wavespeed.solver import solve_critical
+from wavespeed.errors import BracketError, ConvergenceError
+from wavespeed.kernels import DiracKernel, GaussianKernel
+from wavespeed.solver import min_psi, solve_critical
 
 CURVE_HEADER = ("h,c_star,lower_add,lower_log,upper_k1,upper_k2,"
                 "lower_active,upper_active,residual")
@@ -349,6 +349,39 @@ class TestCurvesCommand:
         assert "--samples must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # the default eps is the critical one, and the solve behind it
+        # raises BracketError (the proven upper window end rounds to 0)
+        with pytest.raises(BracketError) as info:
+            solve_critical(ModelParams(p=1.000000001, h=0.0), DiracKernel())
+        out = tmp_path / "w.csv"
+        assert main(["curves", "--p", "1.000000001", "--h", "0",
+                     "--kernel", "dirac", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {info.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h, kernel, column, levers", [
+        ("1", "dirac", "H", "--eps or a smaller --h"),
+        ("0", "gaussian:alpha=1", "R", "--eps"),
+    ])
+    def test_overflow_names_column_and_levers(self, tmp_path, capsys, h,
+                                              kernel, column, levers):
+        # at eps = 1e-12 the w grid runs to 1.5e6, and the second sample,
+        # w = 1e4, leaves double range in e^{w h/sqrt(eps)} (H) or in M (R)
+        out = tmp_path / "w.csv"
+        assert main(["curves", "--p", "2", "--h", h, "--kernel", kernel,
+                     "--eps", "1e-12", "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"numerical failure: column {column} leaves double range at "
+            "w = 10000 ")
+        assert lines[0].endswith(f"a larger {levers} keeps it finite")
+        assert "bracket" not in lines[0]
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
@@ -373,6 +406,31 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "[PASS] critical-point-certificates" in out
+
+    def test_solves_each_delay_once(self, monkeypatch, capsys):
+        # the seed (h = alpha = 1), the cardano row (h = 1, 2) and the
+        # certificates (h = 0, 1, 2) share one solve per delay, and the
+        # continuation checks its endpoint h = 3; the cardano row reads
+        # cp.w0, so each eps0 is minimized by its own solve alone
+        solved, minimized = [], []
+
+        def counted_solve(params, kernel):
+            solved.append(solve_critical(params, kernel))
+            return solved[-1]
+
+        def counted_min(eps, params, kernel):
+            minimized.append(eps)
+            return min_psi(eps, params, kernel)
+
+        for module in (cli, solver):
+            monkeypatch.setattr(module, "solve_critical", counted_solve)
+            # raising=False: a min_psi that cli imported would count too
+            monkeypatch.setattr(module, "min_psi", counted_min, raising=False)
+        assert main(["verify"]) == 0
+        assert [minimized.count(cp.eps0) for cp in solved] == [1, 1, 1, 1]
+        assert sorted(solved) == sorted(
+            solve_critical(ModelParams(p=2.0, h=h), GaussianKernel(1.0))
+            for h in (0.0, 1.0, 2.0, 3.0))
 
     def test_huge_p_fails_by_name(self, capsys):
         # the Gaussian seed equation answers at p = 1e70; the direct solve
@@ -464,6 +522,15 @@ class TestSimulateCommand:
                      "--init-width", "20", "--t-end", "5"]) == 2
         assert "stop line" in capsys.readouterr().err
 
+    def test_numerical_failure_exits_3(self, capsys):
+        # the reference c* is solved first; its BracketError ends the run
+        with pytest.raises(BracketError) as info:
+            solve_critical(ModelParams(p=1.000000001, h=0.0), DiracKernel())
+        assert main(["simulate", "--p", "1.000000001", "--h", "0",
+                     "--kernel", "dirac"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {info.value}\n"
 
     def test_rejects_macro_step_below_substep_resolution(self, capsys):
         # at dx 5e5 a 0.1 macro step is 9e-13 of 0.45 dx^2: zero substeps
@@ -490,6 +557,19 @@ class TestFigure2Command:
         assert main(["figure2", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: continuation and direct")
+        assert not out.exists()
+
+    def test_refuses_to_write_an_uncertified_point(self, monkeypatch,
+                                                   tmp_path, capsys):
+        # unlike curve, figure2 writes nothing unless every point certifies
+        def refused(*args):
+            raise ConvergenceError("injected failure")
+        monkeypatch.setattr(cli, "sweep_direct", refused)
+        out = tmp_path / "figure2.csv"
+        assert main(["figure2", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: injected failure\n"
         assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import IVP_REFERENCE, REFERENCE, rel
-from wavespeed import solver
+from wavespeed import charfun, solver
 from wavespeed.bounds import ad_upper_opt, bound_window
 from wavespeed.charfun import (ModelParams, critical_point, psi_eval,
                                wform_residuals)
@@ -62,30 +62,32 @@ def _bisect_reference(params, kernel):
 
     This is the solver before midpoint signs were certified from a warm
     z; both must take the same decisions and so return equal points.
+    The point packages a fresh psi_eval at (z0, eps0), so equality also
+    proves that the evaluation solve_critical reuses from min_psi is it.
     """
     lower, upper = bound_window(params, kernel)
     eps_lo = (1.0 - 1e-9) / (upper * upper)
     eps_hi = (1.0 + 1e-9) / (lower * lower)
-    f_lo = min_psi(eps_lo, params, kernel)[1]
+    f_lo = min_psi(eps_lo, params, kernel)[1].value
     for _ in range(8):
         if f_lo < 0.0:
             break
         eps_lo *= 0.5
-        f_lo = min_psi(eps_lo, params, kernel)[1]
-    f_hi = min_psi(eps_hi, params, kernel)[1]
+        f_lo = min_psi(eps_lo, params, kernel)[1].value
+    f_hi = min_psi(eps_hi, params, kernel)[1].value
     assert f_lo < 0.0 < f_hi
     lo, hi = eps_lo, eps_hi
     for _ in range(DEFAULT_CONFIG.max_bisect):
         if hi - lo <= DEFAULT_CONFIG.eps_rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if min_psi(mid, params, kernel)[1] > 0.0:
+        if min_psi(mid, params, kernel)[1].value > 0.0:
             hi = mid
         else:
             lo = mid
     eps0 = 0.5 * (lo + hi)
     z0, _ = min_psi(eps0, params, kernel)
-    return critical_point(z0, eps0, params, kernel)
+    return critical_point(z0, eps0, psi_eval(z0, eps0, params, kernel))
 
 
 def log_uniform(rng, lo, hi):
@@ -111,8 +113,8 @@ class TestMinPsi:
     def test_sign_straddles_critical_value(self):
         params = ModelParams(p=2.0, h=1.0)
         eps0 = REFERENCE["gauss_h1"]["eps0"]
-        _, below = min_psi(0.9 * eps0, params, GAUSS1)
-        _, above = min_psi(1.1 * eps0, params, GAUSS1)
+        below = min_psi(0.9 * eps0, params, GAUSS1)[1].value
+        above = min_psi(1.1 * eps0, params, GAUSS1)[1].value
         assert below < 0.0 < above
 
     def test_minimizer_is_stationary(self):
@@ -121,6 +123,22 @@ class TestMinPsi:
         ev = psi_eval(z, 0.4, params, GAUSS1)
         assert abs(ev.dz) < 1e-9
         assert ev.dzz > 0.0
+
+    @pytest.mark.parametrize("kernel, p, h, eps, ulp_exit", [
+        pytest.param(GAUSS1, 2.0, 1.0, REFERENCE["gauss_h1"]["eps0"], False,
+                     id="inner-tol"),
+        # a solve of test_certifies_extreme_inputs meets this eps: the
+        # bracket closes 4 ulps wide with psi_z = -0.98 at its midpoint
+        pytest.param(GaussianKernel(1e3), 2.0, 100.0, 0.00018401202934563725,
+                     True, id="4-ulp-exit"),
+    ])
+    def test_returns_the_evaluation_it_stopped_on(self, kernel, p, h, eps,
+                                                  ulp_exit):
+        params = ModelParams(p=p, h=h)
+        z, ev = min_psi(eps, params, kernel)
+        assert (abs(ev.dz) > DEFAULT_CONFIG.inner_tol) == ulp_exit
+        fresh = psi_eval(z, eps, params, kernel)
+        assert [x.hex() for x in ev] == [x.hex() for x in fresh]
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -141,7 +159,7 @@ class TestMinPsi:
             ev = psi_eval(z, eps, params, kernel)
         except MgfOverflowError:
             assume(False)
-        _, lowest = min_psi(eps, params, kernel)
+        lowest = min_psi(eps, params, kernel)[1].value
         terms = 1.0 + z + eps * z * z + abs(ev.value) + abs(ev.dz) / eps
         slack = 1e-13 * terms
         assert ev.value - ev.dz * ev.dz / (4.0 * eps) <= lowest + slack
@@ -152,8 +170,8 @@ class TestMinPsi:
         # the safeguarded search must not stall on tiny Newton steps
         params = ModelParams(p=2.0, h=100.0)
         eps0 = REFERENCE["gauss_h100"]["eps0"]
-        z, val = min_psi(eps0, params, GAUSS1)
-        assert abs(val) < 1e-7
+        z, ev = min_psi(eps0, params, GAUSS1)
+        assert abs(ev.value) < 1e-7
         assert 0.0 < z < 0.1
 
 
@@ -264,10 +282,24 @@ class TestSolveCritical:
         assert len(mins) == cold
         assert mins[-1] == cp.eps0
 
+    def test_certificate_evaluates_nothing_more(self, monkeypatch):
+        # the certificate is min_psi's own last evaluation at (z0, eps0);
+        # charfun.critical_point repeated it once per solve
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return psi_eval(*args)
+
+        monkeypatch.setattr(charfun, "psi_eval", counted)
+        for kernel in (GAUSS1, UniformKernel(1.0), DiracKernel()):
+            solve_critical(ModelParams(p=2.0, h=1.0), kernel)
+        assert calls == []
+
     def test_mean_evaluations_per_solve(self, monkeypatch):
-        # 300 draws over the six families take 20.65 psi_eval calls per
-        # solve (25.92 when both window ends were evaluated); the bound
-        # leaves 0.35 of margin
+        # 300 draws over the six families take 20.37 psi_eval calls per
+        # solve, counted through both module names (21.37 while the
+        # certificate evaluated its point again); the bound leaves 0.63
         calls = []
 
         def counted(*args):
@@ -275,6 +307,7 @@ class TestSolveCritical:
             return psi_eval(*args)
 
         monkeypatch.setattr(solver, "psi_eval", counted)
+        monkeypatch.setattr(charfun, "psi_eval", counted)
         rng = random.Random("work-count")
         for i in range(300):
             kernel = make_kernel(FAMILIES[i % 6], log_uniform(rng, 0.1, 5.0))
@@ -508,8 +541,8 @@ def assert_cold_signs(params, kernel):
     lo, below, above, hi, _ = solver._eps_bracket(lower, upper, params,
                                                   kernel)
     assert lo <= below < above <= hi
-    assert min_psi(below, params, kernel)[1] < 0.0
-    assert min_psi(above, params, kernel)[1] > 0.0
+    assert min_psi(below, params, kernel)[1].value < 0.0
+    assert min_psi(above, params, kernel)[1].value > 0.0
     return (above - below) / above
 
 
