@@ -12,7 +12,8 @@ and the assembled window switches regime at h = 1:
 
 with the additive lower bound l_add = 2 sqrt((p-1)/(p(2h+h^2)+1)) valid
 for every h >= 0.  At h = 0 the k2/h candidate diverges and is dropped;
-k2 is +inf where M(sqrt(ln p)) overflows, so the window binds at k1.
+k1 is +inf where M'(q) overflows and k2 where M(sqrt(ln p)) does, so
+the window binds at the other one.
 Both regime formulas coincide at h = 1 by construction.
 
 For spread-out kernels the window is strict, which is what lets the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .charfun import ModelParams
 from .errors import DomainError, MgfOverflowError
@@ -48,11 +49,10 @@ class SpeedBounds(NamedTuple):
     lower/upper are the binding candidates (max of lowers, min of
     uppers); the individual candidates are kept for reporting and for
     curve CSVs.  upper_k2 is +inf at h = 0, where that candidate is
-    dropped, and where k2 is.  The ad-family optimum is attached only
-    when requested (a 1-D minimization) and only exists for h > 0.
+    dropped, and where k2 is.  The ad family's optimum is a separate
+    call, ad_upper_opt.
     """
 
-    h: float
     regime: str
     k1: float
     k2: float
@@ -62,8 +62,6 @@ class SpeedBounds(NamedTuple):
     upper_k2: float
     lower: float
     upper: float
-    upper_ad_opt: Optional[float] = None
-    ad_r_opt: Optional[float] = None
 
 
 def _check_p(p: float) -> None:
@@ -80,7 +78,10 @@ def k1(p: float, kernel: Kernel) -> float:
         q = math.sqrt((1.0 - 1.0 / p) / (1.0 / p + 0.5 * m2))
     else:
         q = math.sqrt((p - 1.0) / den)
-    return 2.0 * q + p * kernel.mgf_deriv(q)
+    try:
+        return 2.0 * q + p * kernel.mgf_deriv(q)
+    except MgfOverflowError:
+        return math.inf
 
 
 def k2(p: float, kernel: Kernel) -> float:
@@ -93,9 +94,9 @@ def k2(p: float, kernel: Kernel) -> float:
         return math.inf
 
 
-def speed_bounds(params: ModelParams, kernel: Kernel,
-                 with_ad: bool = False) -> SpeedBounds:
-    """Evaluate every explicit bound candidate and assemble the window."""
+def speed_bounds(params: ModelParams, kernel: Kernel) -> SpeedBounds:
+    """Evaluate every explicit bound candidate and assemble the window;
+    the ad family's optimum is a separate call, ad_upper_opt."""
     p, h = params.p, params.h
     k1v = k1(p, kernel)
     k2v = k2(p, kernel)
@@ -111,12 +112,7 @@ def speed_bounds(params: ModelParams, kernel: Kernel,
         lower_log = sqrt_ln_p / h
         upper_k1 = 0.5 * k1v
         upper_k2 = k2v / math.sqrt(h)
-    ad_val: Optional[float] = None
-    ad_r: Optional[float] = None
-    if with_ad and h > 0.0:
-        ad_r, ad_val = ad_upper_opt(params, kernel)
     return SpeedBounds(
-        h=h,
         regime=regime,
         k1=k1v,
         k2=k2v,
@@ -126,14 +122,12 @@ def speed_bounds(params: ModelParams, kernel: Kernel,
         upper_k2=upper_k2,
         lower=max(lower_add, lower_log),
         upper=min(upper_k1, upper_k2),
-        upper_ad_opt=ad_val,
-        ad_r_opt=ad_r,
     )
 
 
 def bound_window(params: ModelParams, kernel: Kernel) -> tuple[float, float]:
     """(lower, upper) only; the cheap call the solver brackets with."""
-    b = speed_bounds(params, kernel, with_ad=False)
+    b = speed_bounds(params, kernel)
     return b.lower, b.upper
 
 

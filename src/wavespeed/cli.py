@@ -46,6 +46,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 _CURVE_HEADER = ("h", "c_star", "lower_add", "lower_log", "upper_k1",
                  "upper_k2", "lower_active", "upper_active", "residual")
 
+_STEPS_PER_SAMPLE = 4  # RK4 steps per sample interval of a continued curve
+
 
 # ---------------------------------------------------------------- formatting
 
@@ -164,7 +166,8 @@ def _arg_kernel(text: str) -> Kernel:
 def cmd_speed(args) -> int:
     params = ModelParams(p=args.p, h=args.h)
     cp = solve_critical(params, args.kernel)
-    b = bounds_mod.speed_bounds(params, args.kernel, with_ad=True)
+    b = bounds_mod.speed_bounds(params, args.kernel)
+    ad = bounds_mod.ad_upper_opt(params, args.kernel) if params.h > 0.0 else None
     print(f"c_star    = {_fmt(cp.c_star)}")
     print(f"eps0      = {_fmt(cp.eps0)}")
     print(f"z0        = {_fmt(cp.z0)}")
@@ -173,14 +176,15 @@ def cmd_speed(args) -> int:
     print(f"|psi_z|   = {_fmt(cp.res_psi_z)}")
     print(f"window    = ({_fmt(b.lower)}, {_fmt(b.upper)})  regime {b.regime}")
     print("inside    = yes")     # solve_critical certified it
-    if b.upper_ad_opt is not None:
-        print(f"ad_upper  = {_fmt(b.upper_ad_opt)}  at r = {_fmt(b.ad_r_opt)}")
+    if ad is not None:
+        print(f"ad_upper  = {_fmt(ad[1])}  at r = {_fmt(ad[0])}")
     return 0
 
 
 def cmd_bounds(args) -> int:
     params = ModelParams(p=args.p, h=args.h)
-    b = bounds_mod.speed_bounds(params, args.kernel, with_ad=True)
+    b = bounds_mod.speed_bounds(params, args.kernel)
+    ad = bounds_mod.ad_upper_opt(params, args.kernel) if params.h > 0.0 else None
     print(f"p         = {_fmt(args.p)}")
     print(f"h         = {_fmt(args.h)}")
     print(f"kernel    = {args.kernel.spec_string()}")
@@ -193,8 +197,8 @@ def cmd_bounds(args) -> int:
     print(f"upper_k2  = {_fmt(b.upper_k2)}")
     print(f"lower     = {_fmt(b.lower)}")
     print(f"upper     = {_fmt(b.upper)}")
-    if b.upper_ad_opt is not None:
-        print(f"upper_ad  = {_fmt(b.upper_ad_opt)}  at r = {_fmt(b.ad_r_opt)}")
+    if ad is not None:
+        print(f"upper_ad  = {_fmt(ad[1])}  at r = {_fmt(ad[0])}")
     return 0
 
 
@@ -216,14 +220,13 @@ def _curve_points(p: float, kernel: Kernel, grid: Sequence[float],
     seed = solve_critical(grid_params[0], kernel)
     if len(grid) == 1:
         return [(seed.c_star, seed.res_psi)]
-    sub = 4
+    sub = _STEPS_PER_SAMPLE
     try:
         curve = continue_ode(p, kernel, grid[0], seed.eps0, grid[-1],
                              steps=sub * (len(grid) - 1))
     except WavespeedError as exc:
         # the input was admitted, so a stage refused mid-run fails the job
-        # (exit 3); steps is fixed at `sub` per sample interval: --samples
-        # is the lever
+        # (exit 3); steps per sample interval are fixed: --samples is the lever
         raise NumericalError(f"{type(exc).__name__}: " + str(exc).replace(
             "increase steps", "increase --samples")) from None
     return [(curve.c_star[i * sub], curve.res_psi[i * sub])
@@ -408,10 +411,12 @@ def cmd_figure2(args) -> int:
     grid = [5.0 * i / 100 for i in range(101)]
     direct = sweep_direct(p, kernel, grid)
     rho0 = solve_ivp_rho0(p, kernel.alpha)
-    down = continue_ode(p, kernel, 1.0, rho0, 0.0, steps=80)
-    up = continue_ode(p, kernel, 1.0, rho0, 5.0, steps=320)
-    ode_c = [down.c_star[4 * i] for i in range(21)]
-    ode_c += [up.c_star[4 * i] for i in range(1, 81)]
+    # seeded at h = 1, grid[20]: 20 sample intervals down, 80 up
+    sub = _STEPS_PER_SAMPLE
+    down = continue_ode(p, kernel, 1.0, rho0, 0.0, steps=20 * sub)
+    up = continue_ode(p, kernel, 1.0, rho0, 5.0, steps=80 * sub)
+    ode_c = [down.c_star[sub * i] for i in range(21)]
+    ode_c += [up.c_star[sub * i] for i in range(1, 81)]
     gap = max(abs(a - b) / b for a, b in zip(ode_c, direct.c_star))
     if gap > 1e-6:
         raise NumericalError(

@@ -263,7 +263,6 @@ class SimResult(NamedTuple):
     hit_boundary: bool
     clamp_events: int
     dt: float
-    dx: float
 
 
 def resolve_dt(h: float) -> tuple[float, int]:
@@ -589,5 +588,4 @@ def run(cfg: SimConfig, params: ModelParams, kernel: Kernel,
         hit_boundary=hit_boundary,
         clamp_events=state.clamp_events,
         dt=state.dt,
-        dx=cfg.dx,
     )

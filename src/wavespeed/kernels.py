@@ -168,10 +168,14 @@ class UniformKernel(Kernel):
                  f"uniform kernel needs a > 0, got {a}")
         self.a = float(a)
 
-    def mgf(self, lam: float) -> float:
+    def _u(self, lam: float) -> float:
         u = self.a * lam
         if abs(u) > _EXP_LIMIT:
             raise MgfOverflowError(f"sinh({u:.6g}) exceeds floating-point range")
+        return u
+
+    def mgf(self, lam: float) -> float:
+        u = self._u(lam)
         if abs(u) <= self._SERIES_CUT:
             u2 = u * u
             return 1.0 + u2 / 6.0 + u2 * u2 / 120.0 + u2 * u2 * u2 / 5040.0 \
@@ -180,9 +184,7 @@ class UniformKernel(Kernel):
 
     def mgf_deriv(self, lam: float) -> float:
         # d/dlam sinh(u)/u = a * (u*cosh(u) - sinh(u)) / u^2
-        u = self.a * lam
-        if abs(u) > _EXP_LIMIT:
-            raise MgfOverflowError(f"sinh({u:.6g}) exceeds floating-point range")
+        u = self._u(lam)
         if abs(u) <= self._SERIES_CUT:
             u2 = u * u
             g = u * (1.0 / 3.0 + u2 / 30.0 + u2 * u2 / 840.0
@@ -191,9 +193,7 @@ class UniformKernel(Kernel):
         return self.a * (u * math.cosh(u) - math.sinh(u)) / (u * u)
 
     def mgf_deriv2(self, lam: float) -> float:
-        u = self.a * lam
-        if abs(u) > _EXP_LIMIT:
-            raise MgfOverflowError(f"sinh({u:.6g}) exceeds floating-point range")
+        u = self._u(lam)
         a2 = self.a * self.a
         if abs(u) <= self._SERIES_CUT:
             u2 = u * u

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, file artifacts."""
 
+import hashlib
 import math
 
 import pytest
@@ -662,3 +663,77 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, command, flag, value):
     assert sum("error:" in line for line in err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# The first 12 hex digits of the SHA-256 of each line's stdout at h = 0,
+# 0.5, 1 and 100 (every line exits 0), recorded while speed_bounds still
+# computed the ad family's optimum for these two commands.
+_PINNED_STDOUT = {
+    ("speed", "gaussian:alpha=1"):
+        ("81a2ceabe344", "42a2977c757e", "069bd6ebe676", "250c8d63ae80"),
+    ("speed", "gaussian:alpha=1000"):
+        ("5b421a98c1ad", "25c1e478278c", "f247674a0bf9", "2d8688480aeb"),
+    ("speed", "uniform:a=1000"):
+        ("f58407b402fd", "07fdf267f243", "23fa3c9f7cf1", "7bd3e256ff56"),
+    ("speed", "twopoint:a=1"):
+        ("d794e224e20f", "c490e4354908", "da3b19558401", "0cbf59cb88e8"),
+    ("speed", "dirac"):
+        ("655c7ffd76f4", "b943438f5448", "0260de822511", "27591e1075b2"),
+    ("bounds", "gaussian:alpha=1"):
+        ("1613196112df", "f9b7821d4246", "63f316db9f2c", "ae77af322f1a"),
+    ("bounds", "gaussian:alpha=1000"):
+        ("18928fc5dd5f", "b315d700fb4a", "c757f77f098a", "0977569764e6"),
+    ("bounds", "uniform:a=1000"):
+        ("bc0f7ad24aca", "27f32d77a3c8", "c297e36fff6c", "be9d083020ec"),
+    ("bounds", "twopoint:a=1"):
+        ("9f7ae9851799", "fedc83dfb7d4", "f3e8a8d27d2b", "f510e2fdbd4d"),
+    ("bounds", "dirac"):
+        ("2be247e219d4", "bf17df08e2b2", "6618361f2259", "1337401600fc"),
+}
+
+
+@pytest.mark.parametrize("command, kernel", sorted(_PINNED_STDOUT))
+def test_speed_and_bounds_stdout_is_pinned(capsys, command, kernel):
+    for h, digest in zip(("0", "0.5", "1", "100"),
+                         _PINNED_STDOUT[command, kernel]):
+        assert main([command, "--p", "2", "--h", h, "--kernel", kernel]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest, \
+            (h, out)
+
+
+class TestLightFarAtom:
+    """A table kernel with mass 1e-12 at s = 1e4: k1's M'(q) and k2's
+    M(sqrt(ln 2)) both overflow (cosh(9999.5) for k1), so both constants
+    are +inf and the window has no finite upper end."""
+
+    @pytest.fixture
+    def kernel(self, tmp_path):
+        table = tmp_path / "light.csv"
+        table.write_text("0,0.999999999999\n10000,0.000000000001\n")
+        return f"table:{table}"
+
+    def test_speed_refuses_the_unbounded_window(self, capsys, kernel):
+        assert main(["speed", "--p", "2", "--h", "1", "--kernel", kernel]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the upper speed bound inf puts the window's end eps = "
+            "1/c^2 below the floor 1e-12 (h = 1)\n")
+
+    def test_bounds_reports_infinite_constants(self, capsys, kernel):
+        assert main(["bounds", "--p", "2", "--h", "1", "--kernel", kernel]) == 0
+        fields = parse_kv_stdout(capsys.readouterr().out)
+        assert fields["k1"] == fields["k2"] == fields["upper"] == "inf"
+        assert fields["upper_ad"] == "291.209399191  at r = 0.00248174063323"
+
+    def test_curve_keeps_every_row(self, tmp_path, capsys, kernel):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--p", "2", "--samples", "3", "--kernel", kernel,
+                     "--out", str(out)]) == 3
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "2.5", "5"]
+        for row in rows:
+            cells = row.split(",")
+            assert cells[1] == "" and cells[4] == cells[7] == "inf"
+        assert capsys.readouterr().err.count("DomainError") == 3

@@ -396,7 +396,6 @@ class TestRun:
         assert 1.3 < result.speed < 2.7
         assert not result.hit_boundary
         assert result.reference_speed == 2.0
-        assert result.dx == 0.2
         assert result.clamp_events == 0
         assert len(result.times) == len(result.front)
         # front must advance overall
@@ -796,7 +795,7 @@ def _full_grid_run(cfg, params, kernel, g):
     return SimResult(times=tuple(times), front=tuple(fronts), speed=speed,
                      fit_residual=resid, reference_speed=None,
                      hit_boundary=hit_boundary,
-                     clamp_events=state.clamp_events, dt=state.dt, dx=cfg.dx)
+                     clamp_events=state.clamp_events, dt=state.dt)
 
 
 class TestTrimmedGrid:
