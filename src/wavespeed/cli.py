@@ -46,8 +46,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 _CURVE_HEADER = ("h", "c_star", "lower_add", "lower_log", "upper_k1",
                  "upper_k2", "lower_active", "upper_active", "residual")
 
-_STEPS_PER_SAMPLE = 4  # RK4 steps per sample interval of a continued curve
-
 
 # ---------------------------------------------------------------- formatting
 
@@ -216,21 +214,19 @@ def _curve_points(p: float, kernel: Kernel, grid: Sequence[float],
             except WavespeedError as exc:
                 points.append(exc)
         return points
-    # ode: seed at the left end, RK4 across, subsample back to grid
+    # ode: seed at the left end, RK4 across the grid's sample intervals
     seed = solve_critical(grid_params[0], kernel)
     if len(grid) == 1:
         return [(seed.c_star, seed.res_psi)]
-    sub = _STEPS_PER_SAMPLE
     try:
         curve = continue_ode(p, kernel, grid[0], seed.eps0, grid[-1],
-                             steps=sub * (len(grid) - 1))
+                             samples=len(grid) - 1)
     except WavespeedError as exc:
         # the input was admitted, so a stage refused mid-run fails the job
-        # (exit 3); steps per sample interval are fixed: --samples is the lever
+        # (exit 3); name the flag that sets the sample count
         raise NumericalError(f"{type(exc).__name__}: " + str(exc).replace(
-            "increase steps", "increase --samples")) from None
-    return [(curve.c_star[i * sub], curve.res_psi[i * sub])
-            for i in range(len(grid))]
+            "increase samples", "increase --samples")) from None
+    return list(zip(curve.c_star, curve.res_psi))
 
 
 def _write_curve(p: float, kernel: Kernel, grid: Sequence[float], points,
@@ -336,7 +332,7 @@ def cmd_verify(args) -> int:
         eps_seed = solve(h0).eps0
 
     try:
-        curve = continue_ode(p, kernel, h0, eps_seed, h0 + 2.0, steps=100)
+        curve = continue_ode(p, kernel, h0, eps_seed, h0 + 2.0, samples=25)
         checks.append((f"continuation-endpoint ({curve.method})", True,
                        f"gap {curve.endpoint_gap:.3g}"))
     except NumericalError as exc:
@@ -412,11 +408,9 @@ def cmd_figure2(args) -> int:
     direct = sweep_direct(p, kernel, grid)
     rho0 = solve_ivp_rho0(p, kernel.alpha)
     # seeded at h = 1, grid[20]: 20 sample intervals down, 80 up
-    sub = _STEPS_PER_SAMPLE
-    down = continue_ode(p, kernel, 1.0, rho0, 0.0, steps=20 * sub)
-    up = continue_ode(p, kernel, 1.0, rho0, 5.0, steps=80 * sub)
-    ode_c = [down.c_star[sub * i] for i in range(21)]
-    ode_c += [up.c_star[sub * i] for i in range(1, 81)]
+    down = continue_ode(p, kernel, 1.0, rho0, 0.0, samples=20)
+    up = continue_ode(p, kernel, 1.0, rho0, 5.0, samples=80)
+    ode_c = down.c_star + up.c_star[1:]
     gap = max(abs(a - b) / b for a, b in zip(ode_c, direct.c_star))
     if gap > 1e-6:
         raise NumericalError(

@@ -22,7 +22,7 @@ class NumericalError(WavespeedError, ArithmeticError):
 class MgfOverflowError(NumericalError, OverflowError):
     """An exp() argument left floating-point range while evaluating M.
 
-    Signals the caller to shrink its bracket; never a silent inf.
+    Raised in place of a silent inf; the caller decides what it means.
     """
 
 

@@ -44,9 +44,7 @@ _EXP_LIMIT = 700.0
 def checked_exp(x: float) -> float:
     """exp(x), but raise MgfOverflowError instead of returning inf."""
     if x > _EXP_LIMIT:
-        raise MgfOverflowError(
-            f"exp({x:.6g}) exceeds floating-point range; shrink the bracket"
-        )
+        raise MgfOverflowError(f"exp({x:.6g}) exceeds floating-point range")
     return math.exp(x)
 
 

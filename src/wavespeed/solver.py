@@ -33,9 +33,9 @@ On top of the direct solver:
   * cardano_w0 returns w0 = sqrt(eps)*z0 for the Gaussian kernel as the
     leftmost positive root of an explicit cubic (trigonometric form);
   * continue_ode integrates eps0'(h) = 2*eps0*G(w0) / (1 + h*G(w0))
-    with classical fixed-step RK4, retrieving w0 per stage via the
-    cubic (Gaussian) or, wherever that fails, via min_psi (any kernel);
-    any other failed stage ends the run with its own error;
+    with classical RK4, four fixed steps per sample interval, taking w0
+    per stage from the cubic (Gaussian) or, wherever that fails, from
+    min_psi (any kernel); any other failed stage raises its own error;
   * sweep_direct runs independent direct solves over an h-grid.
 """
 
@@ -58,6 +58,8 @@ _CURVE_METHODS = ("direct", "ode-continuation", "cardano-continuation")
 _ENDPOINT_RTOL = 1e-6
 # how far off a continuation seed may be before we refuse to start
 _ENTRY_PSI_TOL = 1e-7
+# RK4 steps per sample interval of a continued curve
+_STEPS_PER_SAMPLE = 4
 
 
 class _SolverConfig(NamedTuple):
@@ -88,13 +90,13 @@ class SpeedCurve(_SpeedCurve):
     """Sampled critical curve h -> (eps0, z0, c_star) with diagnostics.
 
     A tuple of the fields above; len(curve.h) counts its samples.
-    Samples are ordered by strictly increasing h, and c_star must come
-    out strictly decreasing; delay only ever slows the front, so a
-    violation is treated as data corruption, not as an interesting
-    result.  res_psi/res_psi_z are absolute residuals of
-    each sample (for continuation methods they measure drift off the
-    true curve).  endpoint_gap is the relative c* disagreement against
-    a direct solve at the far end (continuation methods only).
+    Samples are ordered by strictly increasing h, and c_star must not
+    increase; delay only ever slows the front, so a rise is data
+    corruption, while a tie is two delays that round to one eps0.
+    res_psi/res_psi_z are absolute residuals of each sample (for
+    continuation methods they measure drift off the true curve).
+    endpoint_gap is the relative c* disagreement against a direct solve
+    at the far end (continuation methods only).
     """
 
     __slots__ = ()
@@ -113,9 +115,9 @@ class SpeedCurve(_SpeedCurve):
         for i in range(n - 1):
             if not self.h[i + 1] > self.h[i]:
                 raise DomainError("curve h values must be strictly increasing")
-            if not self.c_star[i + 1] < self.c_star[i]:
+            if not self.c_star[i + 1] <= self.c_star[i]:
                 raise DomainError(
-                    f"c_star must be strictly decreasing; violated between "
+                    f"c_star must not increase; violated between "
                     f"h={self.h[i]:g} and h={self.h[i + 1]:g}")
         return self
 
@@ -575,22 +577,24 @@ def _w0_on_curve(p: float, kernel: Kernel, h: float, eps: float) -> float:
 
 
 def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
-                 h_end: float, steps: int) -> SpeedCurve:
+                 h_end: float, samples: int) -> SpeedCurve:
     """Trace eps0(h) from a seed by integrating its defining ODE.
 
         eps0'(h) = 2*eps0*G(w0) / (1 + h*G(w0)),  G(w) = 1 + w/sqrt(eps0) - w^2
 
-    Classical fixed-step RK4 over `steps` steps from h0 to h_end (either
-    direction); at every stage w0 is retrieved with the Gaussian cubic
-    when available, else (or on CubicRootError) with the generic
-    minimizer.  Any other stage failure ends the run with its own class;
-    a stage ConvergenceError names the stage, and it and a stage or step
-    that takes eps to zero, below or out of range ask for more steps.
-    The seed must already satisfy |psi_min(eps_init)| <= 1e-7 and the
-    endpoint is cross-checked against a direct solve at h_end.
+    Classical RK4 over `samples` equal intervals from h0 to h_end (either
+    direction), _STEPS_PER_SAMPLE fixed steps each; the curve holds the
+    samples + 1 interval ends and their residuals.  At every stage w0 is
+    retrieved with the Gaussian cubic when available, else (or on
+    CubicRootError) with the generic minimizer.  Any other stage failure
+    ends the run with its own class; a stage ConvergenceError names the
+    stage, and it and a stage or step that takes eps to zero, below or
+    out of range ask for more samples.  The seed must already satisfy
+    |psi_min(eps_init)| <= 1e-7 and the endpoint is cross-checked against
+    a direct solve at h_end.
     """
-    if not (isinstance(steps, int) and steps >= 1):
-        raise DomainError(f"steps must be an integer >= 1, got {steps}")
+    if not (isinstance(samples, int) and samples >= 1):
+        raise DomainError(f"samples must be an integer >= 1, got {samples}")
     if not (math.isfinite(eps_init) and eps_init > 0.0):
         raise DomainError(f"eps_init must be positive, got {eps_init}")
     params0 = ModelParams(p=p, h=h0)  # validates p, h0
@@ -605,7 +609,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         if not (math.isfinite(eps) and eps > 0.0):
             raise ConvergenceError(
                 f"continuation stepped eps to {eps:g} at h={h:g}; "
-                "increase steps")
+                "increase samples")
         return eps
 
     def slope(h: float, eps: float) -> tuple[float, float]:
@@ -615,11 +619,12 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         except ConvergenceError as exc:     # a stage far off the curve
             raise ConvergenceError(
                 f"{exc} in the stage at h={h:g}, eps={eps:.6g}; "
-                "increase steps") from None
+                "increase samples") from None
         g = G_value(w0, eps)
         return w0, 2.0 * eps * g / (1.0 + h * g)
 
     # each sample's w0 is its step's first stage; the last one's comes later
+    steps = _STEPS_PER_SAMPLE * samples
     hs, epss, w0s = [h0], [eps_init], []
     for i in range(1, steps + 1 if h_end != h0 else 1):
         h, eps = hs[-1], epss[-1]
@@ -633,6 +638,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
         epss.append(checked(h_next, eps + dh * (s1 + 2.0 * s2 + 2.0 * s3
                                                 + s4) / 6.0))
         w0s.append(w0)
+    hs, epss, w0s = (x[::_STEPS_PER_SAMPLE] for x in (hs, epss, w0s))
 
     cp_end = solve_critical(ModelParams(p=p, h=h_end), kernel)
     c_end = 1.0 / math.sqrt(epss[-1])
@@ -640,7 +646,7 @@ def continue_ode(p: float, kernel: Kernel, h0: float, eps_init: float,
     if gap > _ENDPOINT_RTOL:
         raise ConvergenceError(
             f"continuation endpoint drifted {gap:.3g} (relative on c*) from "
-            f"the direct solve at h={h_end:g}; increase steps")
+            f"the direct solve at h={h_end:g}; increase samples")
 
     w0s.append(_w0_on_curve(p, kernel, hs[-1], epss[-1]))
     if hs[-1] < hs[0]:

@@ -103,7 +103,7 @@ def test_04_continuation_agrees_with_direct(capsys):
     gaps = {}
     for kernel, label in ((GAUSS1, "cubic"), (UniformKernel(1.0), "generic")):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), kernel)
-        curve = continue_ode(2.0, kernel, 1.0, seed.eps0, 5.0, steps=200)
+        curve = continue_ode(2.0, kernel, 1.0, seed.eps0, 5.0, samples=50)
         direct = solve_critical(ModelParams(p=2.0, h=5.0), kernel)
         gaps[label] = rel(curve.c_star[-1], direct.c_star)
     elapsed = time.perf_counter() - start

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import REFERENCE, rel
 from wavespeed.charfun import ModelParams
-from wavespeed import cli, solver
+from wavespeed import charfun, cli, solver
 from wavespeed.cli import main
 from wavespeed.errors import BracketError, ConvergenceError
 from wavespeed.kernels import DiracKernel, GaussianKernel
@@ -165,8 +165,8 @@ class TestCurveCommand:
             assert rel(cd, co) < 1e-6
 
     def test_endpoint_drift_names_samples(self, tmp_path, capsys):
-        # curve fixes steps at 4 per sample interval, so the message must
-        # name the flag that sets them, not continue_ode's argument
+        # the message must name the flag that sets the sample count, not
+        # continue_ode's argument
         assert main(["curve", "--p", "50", "--kernel", "gaussian:alpha=3",
                      "--method", "ode", "--h-max", "10",
                      "--out", str(tmp_path / "c.csv")]) == 3
@@ -209,6 +209,16 @@ class TestCurveCommand:
         assert "stalled" in lines[0]
         assert lines[0].endswith("increase --samples")
         assert not out.exists()
+
+    def test_tied_speeds_are_written(self, tmp_path, capsys):
+        # the samples 5e-301 apart land on one eps0, so c* ties: a tie is
+        # no rise, and the curve is written
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--p", "2", "--kernel", "dirac", "--method",
+                     "ode", "--h-max", "1e-300", "--samples", "3",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len({row.split(",")[1] for row in rows}) == 1
 
     def test_refused_points_leave_empty_fields(self, tmp_path, capsys):
         # min_psi refuses the four h > 0 points (a minimizer on M's
@@ -737,3 +747,25 @@ class TestLightFarAtom:
             cells = row.split(",")
             assert cells[1] == "" and cells[4] == cells[7] == "inf"
         assert capsys.readouterr().err.count("DomainError") == 3
+
+
+class TestWorkCounts:
+    # psi_eval calls per job, through every module name it is bound to;
+    # counts are the same on every machine, so a rise here is new work
+    @pytest.mark.parametrize("argv,limit", [
+        (["curve", "--p", "2", "--kernel", "gaussian:alpha=1",
+          "--method", "ode"], 149),
+        (["figure2"], 1701),
+    ])
+    def test_psi_evals_per_job(self, monkeypatch, tmp_path, capsys, argv,
+                               limit):
+        calls = []
+        true_psi = charfun.psi_eval
+
+        def counted(*args):
+            calls.append(args)
+            return true_psi(*args)
+        for module in (charfun, solver, cli):
+            monkeypatch.setattr(module, "psi_eval", counted)
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert 0 < len(calls) <= limit, len(calls)

@@ -688,7 +688,7 @@ class TestCardanoW0:
 class TestContinueOde:
     def test_gaussian_path_uses_cubic(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
-        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 3.0, steps=100)
+        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 3.0, samples=25)
         assert curve.method == "cardano-continuation"
         assert curve.endpoint_gap is not None
         assert curve.endpoint_gap < 1e-8
@@ -697,7 +697,7 @@ class TestContinueOde:
     def test_generic_path(self):
         kernel = UniformKernel(1.0)
         seed = solve_critical(ModelParams(p=2.0, h=1.0), kernel)
-        curve = continue_ode(2.0, kernel, 1.0, seed.eps0, 3.0, steps=100)
+        curve = continue_ode(2.0, kernel, 1.0, seed.eps0, 3.0, samples=25)
         assert curve.method == "ode-continuation"
         assert curve.endpoint_gap < 1e-7
         assert rel(curve.eps0[-1], REFERENCE["uniform_h3"]["eps0"]) < 1e-7
@@ -707,14 +707,14 @@ class TestContinueOde:
     def test_endpoint_error_is_fourth_order(self, kernel):
         # RK4: doubling the steps divides the endpoint error by about 16
         seed = solve_critical(ModelParams(p=2.0, h=0.5), kernel)
-        gaps = [continue_ode(2.0, kernel, 0.5, seed.eps0, 4.5, steps=n).endpoint_gap
-                for n in (40, 80, 160)]
+        gaps = [continue_ode(2.0, kernel, 0.5, seed.eps0, 4.5, samples=n).endpoint_gap
+                for n in (10, 20, 40)]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 14.0 <= coarse / fine <= 17.0, gaps
 
     def test_backward_sweep_normalized(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
-        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 0.2, steps=50)
+        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 0.2, samples=12)
         assert curve.h[0] < curve.h[-1]          # stored ascending
         assert curve.h[0] == pytest.approx(0.2)
         assert curve.c_star[0] > curve.c_star[-1]
@@ -736,7 +736,7 @@ class TestContinueOde:
                 degenerate.append(args)
                 raise
         monkeypatch.setattr(solver, "cardano_w0", cardano)
-        curve = continue_ode(2.0, kernel, 0.5, seed.eps0, 1.5, steps=64)
+        curve = continue_ode(2.0, kernel, 0.5, seed.eps0, 1.5, samples=16)
         assert len(degenerate) == 4 * 64 + 1
         assert curve.endpoint_gap < 1e-9
 
@@ -752,7 +752,7 @@ class TestContinueOde:
             lookups.append(args)
             return true_w0(*args)
         monkeypatch.setattr(solver, "_w0_on_curve", counted_w0)
-        plain = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+        plain = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, samples=3)
         n_plain = len(lookups)
         cardano_calls = []
 
@@ -763,7 +763,7 @@ class TestContinueOde:
             return true_cardano(*args)
         monkeypatch.setattr(solver, "cardano_w0", cardano)
         lookups.clear()
-        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, samples=3)
         assert len(cardano_calls) > 6
         assert len(lookups) == n_plain
         assert curve.h == plain.h
@@ -772,20 +772,21 @@ class TestContinueOde:
 
     def test_single_point(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
-        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 1.0, steps=10)
+        curve = continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 1.0, samples=3)
         assert len(curve.h) == 1
 
     def test_rejects_off_curve_seed(self):
         with pytest.raises(DomainError):
-            continue_ode(2.0, GAUSS1, 1.0, 0.3, 2.0, steps=10)
+            continue_ode(2.0, GAUSS1, 1.0, 0.3, 2.0, samples=3)
         for eps_init in (0.0, -0.3):
             with pytest.raises(DomainError, match="eps_init must be positive"):
-                continue_ode(2.0, GAUSS1, 1.0, eps_init, 2.0, steps=10)
+                continue_ode(2.0, GAUSS1, 1.0, eps_init, 2.0, samples=3)
 
-    def test_rejects_bad_steps(self):
+    def test_rejects_bad_samples(self):
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
-        with pytest.raises(DomainError):
-            continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=0)
+        for samples in (0, -1, 2.0):
+            with pytest.raises(DomainError, match="samples must be"):
+                continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, samples=samples)
 
     @staticmethod
     def _failing_stages(monkeypatch, fails):
@@ -807,7 +808,7 @@ class TestContinueOde:
         seed = solve_critical(ModelParams(p=2.0, h=1.0), GAUSS1)
         calls = self._failing_stages(monkeypatch, {1})
         with pytest.raises(ConvergenceError, match="injected stage failure"):
-            continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 2.0, steps=10)
+            continue_ode(2.0, GAUSS1, 1.0, seed.eps0, 3.0, samples=5)
         assert [h for _, _, h, _ in calls] == [1.0, 1.05]
 
     @pytest.mark.parametrize("kernel", [DiracKernel(), GaussianKernel(0.1)])
@@ -816,19 +817,19 @@ class TestContinueOde:
         # steps from h = 1 land below zero; that is a step too long, not
         # an input outside the domain
         seed = solve_critical(ModelParams(p=1000.0, h=1.0), kernel)
-        with pytest.raises(ConvergenceError, match="increase steps"):
-            continue_ode(1000.0, kernel, 1.0, seed.eps0, 0.0, 4)
+        with pytest.raises(ConvergenceError, match="increase samples"):
+            continue_ode(1000.0, kernel, 1.0, seed.eps0, 0.0, samples=1)
 
     def test_stalled_stage_asks_for_more_steps(self):
         # at h = 0.00625, the first step's second stage lands so far off
         # the curve that min_psi stalls; the error names the stage and
-        # the lever (6400 steps complete this run)
+        # the lever (1600 samples complete this run)
         kernel = UniformKernel(100.0)
         seed = solve_critical(ModelParams(p=1000.0, h=0.0), kernel)
         with pytest.raises(ConvergenceError,
                            match=r"stalled .* stage at h=0\.00625, "
-                                 r"eps=.*; increase steps$"):
-            continue_ode(1000.0, kernel, 0.0, seed.eps0, 5.0, steps=400)
+                                 r"eps=.*; increase samples$"):
+            continue_ode(1000.0, kernel, 0.0, seed.eps0, 5.0, samples=100)
 
     def test_leaves_no_reference_cycle(self):
         # the stage memo and the closures over it are freed on return by
@@ -838,7 +839,7 @@ class TestContinueOde:
         gc.disable()
         try:
             continue_ode(2.0, UniformKernel(1.0), 1.0, seed.eps0, 2.0,
-                         steps=20)
+                         samples=5)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -865,7 +866,7 @@ class TestSpeedCurveValidation:
                        res_psi=(0.0, 0.0), res_psi_z=(0.0, 0.0))
 
     def test_rejects_nondecreasing_speed(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must not increase"):
             SpeedCurve(method="direct", h=(0.5, 1.0), eps0=(1.0, 2.0),
                        z0=(1.0, 1.0), c_star=(0.7, 0.9),
                        res_psi=(0.0, 0.0), res_psi_z=(0.0, 0.0))
@@ -874,6 +875,18 @@ class TestSpeedCurveValidation:
                            res_psi=(0.0, 0.0), res_psi_z=(0.0, 0.0))
         with pytest.raises(DomainError):
             curve._replace(c_star=(0.7, 0.9))
+
+    def test_admits_tied_speeds(self):
+        # adjacent delays can land on one eps0 of the 1e-12 bisection: at
+        # h = 0.5 + 0.01 i, i < 200, 95 of the pairs (h, nextafter(h)) tie
+        # and none rises
+        curve = SpeedCurve(method="direct", h=(0.5, 1.0), eps0=(1.0, 1.0),
+                           z0=(1.0, 1.0), c_star=(0.9, 0.9),
+                           res_psi=(0.0, 0.0), res_psi_z=(0.0, 0.0))
+        assert curve._replace(c_star=(0.7, 0.7)).c_star == (0.7, 0.7)
+        for h in (0.5, 0.52, 0.56):
+            tied = sweep_direct(2.0, GAUSS1, [h, math.nextafter(h, math.inf)])
+            assert tied.c_star[0] == tied.c_star[1]
 
     def test_rejects_unknown_method(self):
         with pytest.raises(DomainError):
