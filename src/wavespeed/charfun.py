@@ -27,6 +27,9 @@ from .kernels import Kernel, checked_exp
 # below this eps the speed exceeds 1e6 and float exponents misbehave
 _EPS_FLOOR = 1e-12
 
+# sys.float_info.min; e^{-z h} is subnormal past z h = 708.39, 0 past 745.13
+_MIN_NORMAL = 2.2250738585072014e-308
+
 
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps >= _EPS_FLOOR):
@@ -115,7 +118,9 @@ def psi_eval(z: float, eps: float, params: ModelParams, kernel: Kernel) -> PsiEv
     m1 = kernel.mgf_deriv(w)
     m2 = kernel.mgf_deriv2(w)
     h = params.h
-    pm = params.p * checked_exp(-z * h)
+    decay = checked_exp(-z * h)
+    pm = (params.p * decay if decay >= _MIN_NORMAL
+          else math.exp(math.log(params.p) - z * h))
     value = eps * z * z - z - 1.0 + pm * m0
     dz = 2.0 * eps * z - 1.0 + pm * (root_eps * m1 - h * m0)
     dzz = 2.0 * eps + pm * (eps * m2 - 2.0 * h * root_eps * m1 + h * h * m0)

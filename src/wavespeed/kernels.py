@@ -48,6 +48,14 @@ def checked_exp(x: float) -> float:
     return math.exp(x)
 
 
+def _guard(u: float) -> float:
+    """u, the argument of a compact kernel's cosh and sinh; raise
+    MgfOverflowError once |u| passes the limit, on either side."""
+    if abs(u) > _EXP_LIMIT:
+        raise MgfOverflowError(f"exp({abs(u):.6g}) exceeds floating-point range")
+    return u
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DomainError(msg)
@@ -166,14 +174,8 @@ class UniformKernel(Kernel):
                  f"uniform kernel needs a > 0, got {a}")
         self.a = float(a)
 
-    def _u(self, lam: float) -> float:
-        u = self.a * lam
-        if abs(u) > _EXP_LIMIT:
-            raise MgfOverflowError(f"sinh({u:.6g}) exceeds floating-point range")
-        return u
-
     def mgf(self, lam: float) -> float:
-        u = self._u(lam)
+        u = _guard(self.a * lam)
         if abs(u) <= self._SERIES_CUT:
             u2 = u * u
             return 1.0 + u2 / 6.0 + u2 * u2 / 120.0 + u2 * u2 * u2 / 5040.0 \
@@ -182,7 +184,7 @@ class UniformKernel(Kernel):
 
     def mgf_deriv(self, lam: float) -> float:
         # d/dlam sinh(u)/u = a * (u*cosh(u) - sinh(u)) / u^2
-        u = self._u(lam)
+        u = _guard(self.a * lam)
         if abs(u) <= self._SERIES_CUT:
             u2 = u * u
             g = u * (1.0 / 3.0 + u2 / 30.0 + u2 * u2 / 840.0
@@ -191,7 +193,7 @@ class UniformKernel(Kernel):
         return self.a * (u * math.cosh(u) - math.sinh(u)) / (u * u)
 
     def mgf_deriv2(self, lam: float) -> float:
-        u = self._u(lam)
+        u = _guard(self.a * lam)
         a2 = self.a * self.a
         if abs(u) <= self._SERIES_CUT:
             u2 = u * u
@@ -246,20 +248,14 @@ class TwoPointKernel(Kernel):
                  f"twopoint kernel needs a >= 0, got {a}")
         self.a = float(a)
 
-    def _u(self, lam: float) -> float:
-        u = self.a * lam
-        if abs(u) > _EXP_LIMIT:
-            raise MgfOverflowError(f"cosh({u:.6g}) exceeds floating-point range")
-        return u
-
     def mgf(self, lam: float) -> float:
-        return math.cosh(self._u(lam))
+        return math.cosh(_guard(self.a * lam))
 
     def mgf_deriv(self, lam: float) -> float:
-        return self.a * math.sinh(self._u(lam))
+        return self.a * math.sinh(_guard(self.a * lam))
 
     def mgf_deriv2(self, lam: float) -> float:
-        return self.a * self.a * math.cosh(self._u(lam))
+        return self.a * self.a * math.cosh(_guard(self.a * lam))
 
     def second_moment(self) -> float:
         return self.a * self.a

@@ -18,8 +18,8 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, MgfOverflowError
-from .kernels import _EXP_LIMIT, Kernel, _require
+from .errors import DomainError
+from .kernels import Kernel, _guard, _require
 
 
 @functools.cache
@@ -139,9 +139,7 @@ class TabulatedKernel(Kernel):
         memo = self._memo
         if memo[0] is lam:
             return memo
-        top = abs(lam) * self._top
-        if top > _EXP_LIMIT:
-            raise MgfOverflowError(f"cosh({top:.6g}) exceeds floating-point range")
+        _guard(lam * self._top)
         x = lam * self._s
         memo = (lam, x, np.cosh(x))
         self._memo = memo

@@ -756,6 +756,11 @@ class TestWorkCounts:
         (["curve", "--p", "2", "--kernel", "gaussian:alpha=1",
           "--method", "ode"], 149),
         (["figure2"], 1701),
+        # the only job whose continuation runs through min_psi
+        (["curve", "--p", "2", "--kernel", "uniform:a=1",
+          "--method", "ode"], 10270),
+        (["curve", "--p", "2", "--kernel", "uniform:a=1"], 1539),
+        (["curve", "--p", "2", "--kernel", "twopoint:a=1"], 1580),
     ])
     def test_psi_evals_per_job(self, monkeypatch, tmp_path, capsys, argv,
                                limit):

@@ -477,10 +477,8 @@ LARGE_P = {
     ("uniform:a=10", 1e150, 0.5): None,
     ("uniform:a=10", 1e200, 1.0): None,
     ("twopoint:a=5", 1e250, 1.0): None,
-    # p e^{-z h} underflows to 0 past z h = 745.13, and min_psi returns
-    # that edge: residuals (|psi|, |psi_z|) of (5.45, 0.994) and (4.92e-7, 1)
-    ("uniform:a=10", 1e200, 0.5): "ConvergenceError",
-    ("twopoint:a=5", 1e250, 0.5): "ConvergenceError",
+    ("uniform:a=10", 1e200, 0.5): None,
+    ("twopoint:a=5", 1e250, 0.5): None,
 }
 
 
@@ -506,6 +504,17 @@ class TestLargeSlope:
                   for h in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0)]
         assert rel(speeds[1], math.sqrt(math.log(p))) < 1e-12
         assert all(a > b for a, b in zip(speeds, speeds[1:])), speeds
+
+    @pytest.mark.parametrize("spec, p, c_star", [
+        ("uniform:a=10", 1e200, 41.723395499770136),
+        ("twopoint:a=5", 1e250, 39.266428740457809),
+    ], ids=["uniform", "twopoint"])
+    def test_speed_where_the_delay_factor_underflows(self, spec, p, c_star):
+        # z0 h is 869 and 770, past 745.13, where e^{-z0 h} is 0 in
+        # double but p e^{-z0 h} is not; c* from a 50-digit mpmath
+        # findroot of psi = psi_z = 0
+        cp = solve_critical(ModelParams(p=p, h=0.5), kernel_from_spec(spec))
+        assert rel(cp.c_star, c_star) < 1e-12
 
 
 class TestLongDelayAnchor:
