@@ -104,6 +104,14 @@ class TestUniform:
     def test_second_moment(self):
         assert rel(UniformKernel(2.0).second_moment(), 4.0 / 3.0) < 1e-15
 
+    @pytest.mark.parametrize("lam", [701.0, -701.0])
+    def test_derivatives_raise_past_overflow_limit(self, lam):
+        # |a lam| above 700: sinh and cosh would leave floating-point range
+        k = UniformKernel(1.0)
+        for moment in (k.mgf, k.mgf_deriv, k.mgf_deriv2):
+            with pytest.raises(MgfOverflowError):
+                moment(lam)
+
     def test_support_radius(self):
         assert UniformKernel(0.8).support_radius() == 0.8
 
